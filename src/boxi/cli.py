@@ -14,32 +14,7 @@ import tempfile
 from pathlib import Path
 
 from .bench import bench_space, bench_time, bench_transfer
-from .errors import (
-    BenchAborted,
-    BoxiError,
-    ConflictingWrites,
-    CorruptPartition,
-    CyclicBinding,
-    DuplicatePrimary,
-    InvalidName,
-    InvalidWorkflowSpec,
-    IoError,
-    MalformedArchive,
-    MalformedTrail,
-    MissingFile,
-    NoMetadataPartition,
-    NoRunscript,
-    NoSuchPartition,
-    NotABoxImage,
-    NotAnOutputOfRun,
-    RecipeParseError,
-    SandboxError,
-    TruncatedImage,
-    UnknownCode,
-    UnknownComponent,
-    UnsupportedEntry,
-    WrongPartitionType,
-)
+from .errors import BoxiError, IoError
 from .image import (
     ARCH_NAMES,
     DATATYPE_NAMES,
@@ -54,15 +29,6 @@ from .provenance import assemble_record_trail, attach_metadata, read_trail
 from .runtime import MODES, ZERO_COPY, load_workflow, run_workflow, workflow_from_mapping
 from .standins import SLEEPER, write_script
 
-_CORRUPTION = (NotABoxImage, TruncatedImage, CorruptPartition,
-               MalformedArchive, MalformedTrail)
-_RUNTIME = (SandboxError, BenchAborted)
-_VALIDATION = (InvalidName, UnknownCode, DuplicatePrimary, NoSuchPartition,
-               UnsupportedEntry, RecipeParseError, MissingFile, NoRunscript,
-               InvalidWorkflowSpec, UnknownComponent, CyclicBinding,
-               ConflictingWrites, WrongPartitionType, IoError,
-               NotAnOutputOfRun, NoMetadataPartition)
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
@@ -72,18 +38,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.handler(args)
-    except _CORRUPTION as exc:
-        print(f"boxi: {exc}", file=sys.stderr)
-        return 4
-    except _RUNTIME as exc:
-        print(f"boxi: {exc}", file=sys.stderr)
-        return 3
-    except _VALIDATION as exc:
-        print(f"boxi: {exc}", file=sys.stderr)
-        return 2
     except BoxiError as exc:
         print(f"boxi: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -225,6 +182,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         for record in report.invocations:
             print(f"{record.component_id}: exit {record.exit_status}")
+            if record.exit_status != 0:
+                for line in record.stderr_tail.splitlines():
+                    print(f"    {line}")
         trail_at = {a["component_id"]: a["partition_id"] for a in attached}
         for write in report.outputs_written:
             note = (f", trail in partition {trail_at[write.component_id]}"

@@ -1,7 +1,8 @@
 """Exception types raised across the package.
 
-Every error that callers are expected to handle derives from BoxiError so
-command-line entry points can map failures onto exit codes in one place.
+Every error that callers are expected to handle derives from BoxiError and
+carries the exit code the command line returns for it: 2 for validation,
+3 for runtime failures, 4 for corruption.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 class BoxiError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 # --- naming and format validation -------------------------------------------
@@ -34,17 +37,25 @@ class NoSuchPartition(BoxiError):
 class NotABoxImage(BoxiError):
     """The file does not start with the image magic or is structurally bad."""
 
+    exit_code = 4
+
 
 class TruncatedImage(BoxiError):
     """The file ends before a region the header or table points into."""
+
+    exit_code = 4
 
 
 class CorruptPartition(BoxiError):
     """Stored checksum does not match the payload bytes read back."""
 
+    exit_code = 4
+
 
 class MalformedArchive(BoxiError):
     """A directory-archive blob violates the encoding rules."""
+
+    exit_code = 4
 
 
 class UnsupportedEntry(BoxiError):
@@ -97,6 +108,8 @@ class WrongPartitionType(BoxiError):
 class SandboxError(BoxiError):
     """The run directory could not be prepared, used, or torn down."""
 
+    exit_code = 3
+
 
 class IoError(BoxiError):
     """An underlying filesystem operation failed."""
@@ -115,8 +128,12 @@ class NoMetadataPartition(BoxiError):
 class MalformedTrail(BoxiError):
     """A metadata payload is not a well-formed record trail document."""
 
+    exit_code = 4
+
 
 # --- benchmarking --------------------------------------------------------------
 
 class BenchAborted(BoxiError):
     """A measured command failed, so the benchmark result would be invalid."""
+
+    exit_code = 3

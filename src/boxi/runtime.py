@@ -2,21 +2,22 @@
 
 A workflow declares components (input, application, output), bindings that
 make a directory of one component visible inside another, and invocations
-of applications. Execution happens in a throwaway sandbox directory:
+of applications. plan_mounts compiles a workflow into a MountPlan of steps;
+one executor runs any plan in a throwaway run directory. Each writable
+mount is an empty spot in its view, and the two modes differ in the steps
+they emit around it:
 
-  zero-copy   each bound partition is materialized once into a shared
-              directory and every view reaches it through a symlink; after
-              the run each writable directory is repacked into its image.
-              One materialization plus one repack per writable binding.
+  zero-copy   materialize each readable partition once into a shared
+              directory and link every view to it; repack each spot.
 
-  two-copy    every binding moves data through a staging directory: the
-              partition is dumped to staging, copied into the view, and for
-              writable bindings copied back to staging and then repacked.
-              Four whole-payload copies per input-to-output path.
+  two-copy    stage the readable partition and copy-in its bound subtree;
+              copy-out each spot to staging after the exec, then repack.
 
-Writable views start empty in both modes; on teardown they replace the
-bound subtree of their partition, so both modes produce identical output
-bytes. The sandbox root honours the BOXI_SANDBOX environment variable.
+A copy event is one materialize, stage, copy-in, copy-out or repack step:
+2 per input-to-output path in zero-copy, 4 in two-copy. A repack replaces
+only the bound subtree of its partition, so both modes produce identical
+output bytes. The direct transfers are plans of the same steps with no
+application. The sandbox root honours the BOXI_SANDBOX environment variable.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from pathlib import Path
 from . import archive
 from .archive import ArchiveEntry
 from .errors import (
+    BoxiError,
     ConflictingWrites,
     CyclicBinding,
     InvalidName,
@@ -103,14 +105,15 @@ class WorkflowSpec:
         raise UnknownComponent(f"no component {component_id!r} in {self.label!r}")
 
 
-def _inner(path: str, what: str) -> str:
-    """Normalize a binding inner path; "" or "/" selects the whole tree."""
+def _inner(path: str, what: str,
+           error: type[BoxiError] = InvalidWorkflowSpec) -> str:
+    """Normalize an inner path; "" or "/" selects the whole tree."""
     stripped = path.strip("/")
     if not stripped:
         return ""
     for part in stripped.split("/"):
         if part in ("", ".", ".."):
-            raise InvalidWorkflowSpec(f"{what}: bad inner path {path!r}")
+            raise error(f"{what}: bad inner path {path!r}")
     return stripped
 
 
@@ -265,37 +268,56 @@ def _check_acyclic(spec: WorkflowSpec) -> None:
 
 # --- planning -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Mount:
-    """One directory made visible inside an application view."""
-
-    sandbox_path: str      # path inside the view
-    component_id: str
-    partition_id: int
-    writable: bool
-    source_path: str       # inner path within the backing partition tree
-
-
-@dataclass(frozen=True)
-class SharedMount:
-    component_id: str
-    partition_id: int
-    source_path: str
-    writable: bool
+VIEW = "view"
+MATERIALIZE = "materialize"
+STAGE = "stage"
+SPOT = "spot"
+LINK = "link"
+COPY_IN = "copy-in"
+EXEC = "exec"
+COPY_OUT = "copy-out"
+REPACK = "repack"
+COPY_STEPS = (MATERIALIZE, STAGE, COPY_IN, COPY_OUT, REPACK)
 
 
 @dataclass(frozen=True)
-class CopyEdge:
-    src: str
-    dst: str
+class Step:
+    """One instruction of a plan; src and dst are relative to the run directory.
+
+      view         unpack the primary system partition of image into dst
+      materialize  unpack partition_id of image into the shared directory dst
+      stage        unpack partition_id of image into the staging directory dst
+      spot         create the empty writable directory dst
+      link         point the symlink dst at the directory inner under src
+      copy-in      copy the directory inner under src to dst
+      exec         run application component in its view dst with argv
+      copy-out     copy the directory inner under src to dst
+      repack       replace the subtree inner of partition_id of image with src
+    """
+
+    op: str
+    component: str          # the bound source, the application, or the output
+    image: str = ""
+    partition_id: int = 0
+    src: str = ""
+    dst: str = ""
+    inner: str = ""
+    argv: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class MountPlan:
+    """The program of one run: its steps in order, for one transfer mode."""
+
+    label: str
     mode: str
-    per_invocation: tuple[tuple[Mount, ...], ...]
-    shared_mounts: tuple[SharedMount, ...]   # zero-copy only
-    copy_edges: tuple[CopyEdge, ...]         # two-copy only
+    steps: tuple[Step, ...]
+    bindings_used: tuple[str, ...]
+
+    @property
+    def copy_events(self) -> int:
+        """Whole-payload copies: materialize, stage, copy-in, copy-out, repack."""
+        return sum(step.op in COPY_STEPS for step in self.steps)
 
 
 def _backing_partition(image: BoxImage, role: str) -> int:
@@ -311,12 +333,11 @@ def _backing_partition(image: BoxImage, role: str) -> int:
 
 
 def plan_mounts(spec: WorkflowSpec, mode: str = ZERO_COPY) -> MountPlan:
-    """Resolve bindings into per-invocation mounts plus mode-specific work."""
+    """Compile a workflow into the steps that run it in the given mode."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     validate_spec(spec)
 
-    roles = {c.id: c.role for c in spec.components}
     partition_ids: dict[str, int] = {}
 
     def backing(component_id: str) -> int:
@@ -326,51 +347,50 @@ def plan_mounts(spec: WorkflowSpec, mode: str = ZERO_COPY) -> MountPlan:
                 partition_ids[component_id] = _backing_partition(image, comp.role)
         return partition_ids[component_id]
 
-    per_invocation: list[tuple[Mount, ...]] = []
-    for invocation in spec.invocations:
-        mounts = []
-        for binding in spec.bindings:
-            if binding.target != invocation.app:
-                continue
-            mounts.append(Mount(
-                sandbox_path=binding.target_path,
-                component_id=binding.source,
-                partition_id=backing(binding.source),
-                writable=roles[binding.source] == ROLE_OUTPUT,
-                source_path=binding.source_path,
-            ))
-        mounts.sort(key=lambda m: m.sandbox_path)
-        per_invocation.append(tuple(mounts))
+    steps: list[Step] = []
+    repacks: list[Step] = []
+    shared: dict[str, str] = {}     # zero-copy: readable component -> its directory
+    staged = 0
+    for index, invocation in enumerate(spec.invocations):
+        app = spec.component(invocation.app)
+        view = f"views/{index}"
+        steps.append(Step(VIEW, app.id, app.image, dst=view))
+        copy_outs: list[Step] = []
+        for binding in sorted((b for b in spec.bindings if b.target == app.id),
+                              key=lambda b: b.target_path):
+            source = spec.component(binding.source)
+            pid = backing(source.id)
+            spot = f"{view}/{binding.target_path}"
+            if source.role == ROLE_OUTPUT:
+                # validate_spec lets one invocation write an output: no shared spot
+                steps.append(Step(SPOT, source.id, dst=spot))
+                result = spot
+                if mode == TWO_COPY:
+                    result = f"staging/{staged}"
+                    staged += 1
+                    copy_outs.append(Step(COPY_OUT, app.id, src=view, dst=result,
+                                          inner=binding.target_path))
+                repacks.append(Step(REPACK, source.id, source.image, pid,
+                                    src=result, inner=binding.source_path))
+            elif mode == ZERO_COPY:
+                if source.id not in shared:
+                    shared[source.id] = f"shared/{len(shared)}"
+                    steps.append(Step(MATERIALIZE, source.id, source.image, pid,
+                                      dst=shared[source.id]))
+                steps.append(Step(LINK, source.id, src=shared[source.id], dst=spot,
+                                  inner=binding.source_path))
+            else:
+                stage = f"staging/{staged}"
+                staged += 1
+                steps.append(Step(STAGE, source.id, source.image, pid, dst=stage))
+                steps.append(Step(COPY_IN, source.id, src=stage, dst=spot,
+                                  inner=binding.source_path))
+        steps.append(Step(EXEC, app.id, dst=view, argv=invocation.argv))
+        steps.extend(copy_outs)
 
-    shared: list[SharedMount] = []
-    edges: list[CopyEdge] = []
-    if mode == ZERO_COPY:
-        seen: set[tuple] = set()
-        for mounts in per_invocation:
-            for m in mounts:
-                key = ((m.component_id, m.partition_id, m.source_path, True)
-                       if m.writable else (m.component_id, m.partition_id))
-                if key in seen:
-                    continue
-                seen.add(key)
-                shared.append(SharedMount(m.component_id, m.partition_id,
-                                          m.source_path, m.writable))
-    else:
-        stage = 0
-        for index, mounts in enumerate(per_invocation):
-            app = spec.invocations[index].app
-            for m in mounts:
-                backing_label = f"{m.component_id}:{m.partition_id}:/{m.source_path}"
-                view_label = f"{app}[{index}]:/{m.sandbox_path}"
-                if m.writable:
-                    edges.append(CopyEdge(view_label, f"staging/{stage}"))
-                    edges.append(CopyEdge(f"staging/{stage}", backing_label))
-                else:
-                    edges.append(CopyEdge(backing_label, f"staging/{stage}"))
-                    edges.append(CopyEdge(f"staging/{stage}", view_label))
-                stage += 1
-
-    return MountPlan(mode, tuple(per_invocation), tuple(shared), tuple(edges))
+    used = tuple(b.label() for invocation in spec.invocations
+                 for b in spec.bindings if b.target == invocation.app)
+    return MountPlan(spec.label, mode, (*steps, *repacks), used)
 
 
 # --- execution --------------------------------------------------------------------
@@ -414,6 +434,7 @@ class ExecutionReport:
                     "started_ns": rec.started_ns,
                     "finished_ns": rec.finished_ns,
                     "exit_status": rec.exit_status,
+                    "stderr_tail": rec.stderr_tail,
                 }
                 for rec in self.invocations
             ],
@@ -438,15 +459,6 @@ def _make_run_dir(sandbox_root: Path | str | None) -> Path:
     return run_dir
 
 
-def _subtree(root: Path, inner: str, what: str) -> Path:
-    if not inner:
-        return root
-    path = root / inner
-    if not path.is_dir():
-        raise SandboxError(f"{what}: bound path /{inner} is not a directory")
-    return path
-
-
 def _replace_subtree(entries: list[ArchiveEntry], inner: str,
                      source_dir: Path) -> list[ArchiveEntry]:
     """Entries with the subtree at inner replaced by the contents of source_dir."""
@@ -466,13 +478,6 @@ def _replace_subtree(entries: list[ArchiveEntry], inner: str,
     kept.append(ArchiveEntry(inner, dir_mode if dir_mode is not None else default_dir, None))
     kept.extend(archive.scan_dir(source_dir, prefix=inner + "/"))
     return kept
-
-
-def _copy_tree(src: Path, dst: Path, what: str) -> None:
-    try:
-        shutil.copytree(src, dst, symlinks=False, dirs_exist_ok=True)
-    except OSError as exc:
-        raise SandboxError(f"{what}: {exc}") from exc
 
 
 def _read_manifest(view: Path, app_id: str) -> SoftwareManifest:
@@ -512,6 +517,82 @@ def _execute(view: Path, app_id: str, argv: tuple[str, ...]) -> InvocationRecord
     )
 
 
+def _run_plan(plan: MountPlan, handles: dict[str, BoxImage],
+              sandbox_root: Path | str | None, keep_sandbox: bool) -> ExecutionReport:
+    """Run every step of a plan in a fresh run directory.
+
+    Each image is opened at most once, through handles keyed by path, and
+    closed at the end. Repack steps run last, all steps for one partition
+    through a single update_partition. The report is returned even when
+    applications exit nonzero; only infrastructure failures raise.
+    """
+    run_dir = _make_run_dir(sandbox_root)
+
+    def image(path: str) -> BoxImage:
+        if path not in handles:
+            handles[path] = open_image(path)
+        return handles[path]
+
+    records: list[InvocationRecord] = []
+    repacks: dict[tuple[str, int], list[Step]] = {}
+    try:
+        for step in plan.steps:
+            source, dst = run_dir / step.src / step.inner, run_dir / step.dst
+            if step.op in (VIEW, MATERIALIZE, STAGE):
+                handle = image(step.image)
+                pid = (_backing_partition(handle, ROLE_APPLICATION)
+                       if step.op == VIEW else step.partition_id)
+                archive.extract_dir(handle.dump_partition(pid), dst)
+            elif step.op == EXEC:
+                records.append(_execute(dst, step.component, step.argv))
+            elif step.op == REPACK:
+                repacks.setdefault((step.image, step.partition_id), []).append(step)
+            else:
+                if dst.exists() or dst.is_symlink():
+                    raise SandboxError(
+                        f"mount point {step.dst} collides with a tree in the sandbox")
+                dst.parent.mkdir(parents=True, exist_ok=True)
+                if step.op == SPOT:
+                    dst.mkdir()
+                elif not source.is_dir():
+                    raise SandboxError(
+                        f"{step.component}: bound path /{step.inner} is not a directory")
+                elif step.op == LINK:
+                    os.symlink(source, dst, target_is_directory=True)
+                else:
+                    try:
+                        shutil.copytree(source, dst, symlinks=False, dirs_exist_ok=True)
+                    except OSError as exc:
+                        raise SandboxError(f"{step.op} {step.dst}: {exc}") from exc
+
+        written: dict[str, list[int]] = {}
+        for (path, partition_id), steps in repacks.items():
+            handle = image(path)
+            entries = archive.decode(handle.dump_partition(partition_id))
+            for step in steps:
+                if not (run_dir / step.src).is_dir():
+                    raise SandboxError(f"{step.component}: {step.src} is gone before repack")
+                entries = _replace_subtree(entries, step.inner, run_dir / step.src)
+                written.setdefault(step.component, []).append(partition_id)
+            handle.update_partition(partition_id, archive.encode_entries(entries))
+
+        return ExecutionReport(
+            label=plan.label,
+            mode=plan.mode,
+            invocations=records,
+            copy_events=plan.copy_events,
+            outputs_written=[OutputWrite(component_id, tuple(sorted(pids)))
+                             for component_id, pids in written.items()],
+            bindings_used=list(plan.bindings_used),
+            sandbox_dir=str(run_dir) if keep_sandbox else None,
+        )
+    finally:
+        for handle in handles.values():
+            handle.close()
+        if not keep_sandbox:
+            shutil.rmtree(run_dir, ignore_errors=True)
+
+
 def run_workflow(spec: WorkflowSpec, mode: str = ZERO_COPY, *,
                  sandbox_root: Path | str | None = None,
                  keep_sandbox: bool = False) -> ExecutionReport:
@@ -520,143 +601,34 @@ def run_workflow(spec: WorkflowSpec, mode: str = ZERO_COPY, *,
     The report is returned even when applications exit nonzero; only
     infrastructure failures raise.
     """
-    plan = plan_mounts(spec, mode)
-    run_dir = _make_run_dir(sandbox_root)
-    copy_events = 0
-    records: list[InvocationRecord] = []
-    bindings_used: list[str] = []
-    # (component, partition) -> ordered list of (inner path, result directory)
-    pending_writes: dict[tuple[str, int], list[tuple[str, Path]]] = {}
-    shared_dirs: dict[tuple, Path] = {}
-    stage_counter = 0
-
-    try:
-        if mode == ZERO_COPY:
-            for index, sm in enumerate(plan.shared_mounts):
-                comp = spec.component(sm.component_id)
-                if sm.writable:
-                    spot = run_dir / "shared" / f"w{index}"
-                    spot.mkdir(parents=True)
-                    shared_dirs[(sm.component_id, sm.partition_id,
-                                 sm.source_path, True)] = spot
-                    pending_writes.setdefault(
-                        (sm.component_id, sm.partition_id), []).append(
-                        (sm.source_path, spot))
-                else:
-                    spot = run_dir / "shared" / f"r{index}"
-                    with open_image(comp.image) as image:
-                        archive.extract_dir(image.dump_partition(sm.partition_id), spot)
-                    copy_events += 1
-                    shared_dirs[(sm.component_id, sm.partition_id)] = spot
-
-        for index, invocation in enumerate(spec.invocations):
-            mounts = plan.per_invocation[index]
-            view = run_dir / "views" / str(index)
-            app = spec.component(invocation.app)
-            with open_image(app.image) as image:
-                primary = _backing_partition(image, ROLE_APPLICATION)
-                archive.extract_dir(image.dump_partition(primary), view)
-
-            for m in mounts:
-                spot = view / m.sandbox_path
-                if spot.exists() or spot.is_symlink():
-                    raise SandboxError(
-                        f"mount point /{m.sandbox_path} collides with the "
-                        f"tree of {invocation.app!r}")
-                spot.parent.mkdir(parents=True, exist_ok=True)
-                if mode == ZERO_COPY:
-                    if m.writable:
-                        target = shared_dirs[(m.component_id, m.partition_id,
-                                              m.source_path, True)]
-                    else:
-                        base = shared_dirs[(m.component_id, m.partition_id)]
-                        target = _subtree(base, m.source_path, m.component_id)
-                    os.symlink(target, spot, target_is_directory=True)
-                else:
-                    if m.writable:
-                        spot.mkdir()
-                        continue
-                    stage = run_dir / "staging" / str(stage_counter)
-                    stage_counter += 1
-                    comp = spec.component(m.component_id)
-                    with open_image(comp.image) as image:
-                        archive.extract_dir(image.dump_partition(m.partition_id), stage)
-                    copy_events += 1
-                    _copy_tree(_subtree(stage, m.source_path, m.component_id),
-                               spot, f"copy into view of {invocation.app!r}")
-                    copy_events += 1
-
-            records.append(_execute(view, invocation.app, invocation.argv))
-            for binding in spec.bindings:
-                if binding.target == invocation.app:
-                    bindings_used.append(binding.label())
-
-            if mode == TWO_COPY:
-                for m in mounts:
-                    if not m.writable:
-                        continue
-                    stage = run_dir / "staging" / str(stage_counter)
-                    stage_counter += 1
-                    _copy_tree(view / m.sandbox_path, stage,
-                               f"copy out of view of {invocation.app!r}")
-                    copy_events += 1
-                    pending_writes.setdefault(
-                        (m.component_id, m.partition_id), []).append(
-                        (m.source_path, stage))
-
-        outputs_written: list[OutputWrite] = []
-        written_by_component: dict[str, list[int]] = {}
-        for (component_id, partition_id), results in pending_writes.items():
-            comp = spec.component(component_id)
-            with open_image(comp.image) as image:
-                entries = archive.decode(image.dump_partition(partition_id))
-                for inner, result_dir in results:
-                    entries = _replace_subtree(entries, inner, result_dir)
-                    copy_events += 1
-                image.update_partition(partition_id, archive.encode_entries(entries))
-            written_by_component.setdefault(component_id, []).append(partition_id)
-        for component_id, pids in written_by_component.items():
-            outputs_written.append(OutputWrite(component_id, tuple(sorted(pids))))
-
-        return ExecutionReport(
-            label=spec.label,
-            mode=mode,
-            invocations=records,
-            copy_events=copy_events,
-            outputs_written=outputs_written,
-            bindings_used=bindings_used,
-            sandbox_dir=str(run_dir) if keep_sandbox else None,
-        )
-    finally:
-        if not keep_sandbox:
-            shutil.rmtree(run_dir, ignore_errors=True)
+    return _run_plan(plan_mounts(spec, mode), {}, sandbox_root, keep_sandbox)
 
 
 # --- direct transfers -----------------------------------------------------------
 
-def _transfer_endpoints(src_path: Path | str, src_partition: int,
-                        dst_path: Path | str) -> tuple[BoxImage, BoxImage, int]:
-    src = open_image(src_path)
-    part = src.descriptor(src_partition)
-    if part.parttype != PART_DATA:
+def _plan_transfer(mode: str, src_image: Path | str, src_partition: int,
+                   dst_image: Path | str,
+                   dst_inner_path: str) -> tuple[MountPlan, dict[str, BoxImage]]:
+    """Plan moving a data partition's tree under dst_inner_path of the
+    destination's data partition; also return the two handles opened to
+    check the partition types."""
+    src = open_image(src_image)
+    if src.descriptor(src_partition).parttype != PART_DATA:
         raise WrongPartitionType(
             f"{src.name}: partition {src_partition} is not a data partition")
-    dst = open_image(dst_path)
-    data = dst.find(parttype=PART_DATA)
-    if len(data) != 1:
-        raise WrongPartitionType(
-            f"{dst.name}: expected exactly one data partition, found {len(data)}")
-    return src, dst, data[0].partition_id
-
-
-def _transfer_inner(path: str) -> str:
-    stripped = path.strip("/")
-    if not stripped:
-        return ""
-    for part in stripped.split("/"):
-        if part in ("", ".", ".."):
-            raise InvalidName(f"bad destination inner path {path!r}")
-    return stripped
+    dst = open_image(dst_image)
+    dst_pid = _backing_partition(dst, ROLE_OUTPUT)
+    inner = _inner(dst_inner_path, "transfer destination", InvalidName)
+    if mode == ZERO_COPY:
+        moves = (Step(MATERIALIZE, src.name, str(src.path), src_partition, dst="shared"),)
+    else:
+        moves = (Step(STAGE, src.name, str(src.path), src_partition, dst="staging/0"),
+                 Step(COPY_IN, src.name, src="staging/0", dst="view"),
+                 Step(COPY_OUT, src.name, src="view", dst="staging/1"))
+    repack = Step(REPACK, dst.name, str(dst.path), dst_pid, src=moves[-1].dst, inner=inner)
+    plan = MountPlan(f"{mode}-transfer", mode, (*moves, repack),
+                     (f"{src.name}:{src_partition} -> {dst.name}:/{inner}",))
+    return plan, {str(src.path): src, str(dst.path): dst}
 
 
 def zero_copy_transfer(src_image: Path | str, src_partition: int,
@@ -665,30 +637,12 @@ def zero_copy_transfer(src_image: Path | str, src_partition: int,
                        keep_sandbox: bool = False) -> ExecutionReport:
     """Move a data partition's tree under dst_inner_path of the destination.
 
-    The tree is materialized once, directly at the spot that is rebuilt
-    into the destination partition: two copy events, no staging.
+    The tree is materialized once, directly at the directory that is
+    repacked into the destination partition: two copy events, no staging.
     """
-    src, dst, dst_pid = _transfer_endpoints(src_image, src_partition, dst_image)
-    inner = _transfer_inner(dst_inner_path)
-    run_dir = _make_run_dir(sandbox_root)
-    try:
-        shared = run_dir / "shared"
-        archive.extract_dir(src.dump_partition(src_partition), shared)
-        entries = _replace_subtree(
-            archive.decode(dst.dump_partition(dst_pid)), inner, shared)
-        dst.update_partition(dst_pid, archive.encode_entries(entries))
-        return ExecutionReport(
-            label="zero-copy-transfer",
-            mode=ZERO_COPY,
-            invocations=[],
-            copy_events=2,
-            outputs_written=[OutputWrite(dst.name, (dst_pid,))],
-            bindings_used=[f"{src.name}:{src_partition} -> {dst.name}:/{inner}"],
-            sandbox_dir=str(run_dir) if keep_sandbox else None,
-        )
-    finally:
-        if not keep_sandbox:
-            shutil.rmtree(run_dir, ignore_errors=True)
+    plan, handles = _plan_transfer(ZERO_COPY, src_image, src_partition,
+                                   dst_image, dst_inner_path)
+    return _run_plan(plan, handles, sandbox_root, keep_sandbox)
 
 
 def two_copy_transfer(src_image: Path | str, src_partition: int,
@@ -697,31 +651,9 @@ def two_copy_transfer(src_image: Path | str, src_partition: int,
                       keep_sandbox: bool = False) -> ExecutionReport:
     """Same result as zero_copy_transfer, staging through host directories.
 
-    Dump to staging, copy into a view, copy back out to staging, rebuild
-    the destination partition: four copy events.
+    Stage, copy into a view, copy back out to staging, repack the
+    destination partition: four copy events.
     """
-    src, dst, dst_pid = _transfer_endpoints(src_image, src_partition, dst_image)
-    inner = _transfer_inner(dst_inner_path)
-    run_dir = _make_run_dir(sandbox_root)
-    try:
-        stage_in = run_dir / "staging" / "0"
-        archive.extract_dir(src.dump_partition(src_partition), stage_in)
-        view = run_dir / "view"
-        _copy_tree(stage_in, view, "copy into view")
-        stage_out = run_dir / "staging" / "1"
-        _copy_tree(view, stage_out, "copy out of view")
-        entries = _replace_subtree(
-            archive.decode(dst.dump_partition(dst_pid)), inner, stage_out)
-        dst.update_partition(dst_pid, archive.encode_entries(entries))
-        return ExecutionReport(
-            label="two-copy-transfer",
-            mode=TWO_COPY,
-            invocations=[],
-            copy_events=4,
-            outputs_written=[OutputWrite(dst.name, (dst_pid,))],
-            bindings_used=[f"{src.name}:{src_partition} -> {dst.name}:/{inner}"],
-            sandbox_dir=str(run_dir) if keep_sandbox else None,
-        )
-    finally:
-        if not keep_sandbox:
-            shutil.rmtree(run_dir, ignore_errors=True)
+    plan, handles = _plan_transfer(TWO_COPY, src_image, src_partition,
+                                   dst_image, dst_inner_path)
+    return _run_plan(plan, handles, sandbox_root, keep_sandbox)

@@ -148,7 +148,9 @@ from pathlib import Path
 
 if len(sys.argv) > 2:
     Path(sys.argv[2], "before-failure.txt").write_text("written before exit\\n")
-sys.exit(int(sys.argv[1]) if len(sys.argv) > 1 else 1)
+code = int(sys.argv[1]) if len(sys.argv) > 1 else 1
+print(f"failing with exit {code}", file=sys.stderr)
+sys.exit(code)
 '''
 
 

@@ -9,7 +9,7 @@ import uuid as uuidlib
 
 import pytest
 
-from boxi import standins
+from boxi import cli, errors, standins
 from boxi.cli import main
 
 from .oracles import read_descriptors, read_header
@@ -157,7 +157,10 @@ def test_run_returns_3_when_an_app_fails(workbench, capsys):
     flow = workbench.root / "workflow.json"
     flow.write_text(json.dumps(doc))
     assert main(["run", str(flow)]) == 3
-    assert "app: exit 5" in capsys.readouterr().out
+    assert "app: exit 5\n    failing with exit 5\n" in capsys.readouterr().out
+    assert main(["run", str(flow), "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["invocations"][0]["stderr_tail"] == "failing with exit 5\n"
 
 
 def test_run_rejects_invalid_workflow_with_exit_2(tmp_path, capsys):
@@ -288,6 +291,26 @@ def test_dump_checksum_failure_exits_4(tmp_path, capsys):
         fh.seek(record["offset"])
         fh.write(b"Z")
     assert main(["dump", str(image), "1", "-"]) == 4
+
+
+# The README's exit-code table: 4 for corruption, 3 for runtime failures,
+# 2 for every other error.
+CORRUPTION = {"NotABoxImage", "TruncatedImage", "CorruptPartition",
+              "MalformedArchive", "MalformedTrail"}
+RUNTIME = {"SandboxError", "BenchAborted"}
+ERRORS = [cls for cls in vars(errors).values()
+          if isinstance(cls, type) and issubclass(cls, errors.BoxiError)]
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda cls: cls.__name__)
+def test_every_error_exits_with_its_documented_code(error, monkeypatch, capsys):
+    def handler(args):
+        raise error("boom", 1) if error is errors.RecipeParseError else error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_inspect", handler)
+    wanted = 4 if error.__name__ in CORRUPTION else 3 if error.__name__ in RUNTIME else 2
+    assert main(["inspect", "any.boxi"]) == wanted
+    assert "boom" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import stat
 
 import pytest
 
 from boxi import standins
-from boxi.archive import extract_dir
+from boxi.archive import ArchiveEntry, encode_entries, extract_dir
+from boxi.cli import main
 from boxi.errors import (
     ConflictingWrites,
     CyclicBinding,
@@ -243,23 +245,33 @@ def fan_out_spec(workbench):
 
 
 def test_zero_copy_plan_shares_readable_mounts(workbench):
-    plan = plan_mounts(fan_out_spec(workbench), ZERO_COPY)
+    spec = fan_out_spec(workbench)
+    plan = plan_mounts(spec, ZERO_COPY)
     assert plan.mode == ZERO_COPY
-    assert len(plan.per_invocation) == 2
-    assert [m.sandbox_path for m in plan.per_invocation[0]] == ["Inputs", "Outputs"]
-    readable = [sm for sm in plan.shared_mounts if not sm.writable]
-    writable = [sm for sm in plan.shared_mounts if sm.writable]
+    ops = [step.op for step in plan.steps]
+    assert ops.count("view") == 2
+    mounts = [step.dst for step in plan.steps if step.op in ("link", "spot")]
+    assert [d for d in mounts if d.startswith("views/0/")] == [
+        "views/0/Inputs", "views/0/Outputs"]
     # one shared materialization for the input, one spot per written output
-    assert len(readable) == 1
-    assert len(writable) == 2
-    assert plan.copy_edges == ()
+    (materialize,) = [step for step in plan.steps if step.op == "materialize"]
+    assert materialize.component == "in"
+    spots = [step for step in plan.steps if step.op == "spot"]
+    assert [step.component for step in spots] == ["out1", "out2"]
+    assert [step.src for step in plan.steps if step.op == "repack"] == [
+        step.dst for step in spots]
+    assert not {"stage", "copy-in", "copy-out"} & set(ops)
+    assert plan.copy_events == run_workflow(spec, ZERO_COPY).copy_events == 3
 
 
 def test_two_copy_plan_stages_every_mount(workbench):
-    plan = plan_mounts(fan_out_spec(workbench), TWO_COPY)
-    assert plan.shared_mounts == ()
+    spec = fan_out_spec(workbench)
+    plan = plan_mounts(spec, TWO_COPY)
+    ops = [step.op for step in plan.steps]
+    assert "materialize" not in ops
     # 4 mounts, 2 staged copies each
-    assert len(plan.copy_edges) == 8
+    assert sum(op in ("stage", "copy-in", "copy-out", "repack") for op in ops) == 8
+    assert plan.copy_events == run_workflow(spec, TWO_COPY).copy_events == 8
 
 
 def test_plan_rejects_unknown_mode(workbench):
@@ -321,6 +333,64 @@ def test_both_modes_produce_identical_output_bytes(workbench):
     assert zero.copy_events == 2
     assert two.copy_events == 4
     assert zero_payload == two_payload
+
+
+def subdirectory_workflow(workbench, source):
+    """Write an identity workflow that binds the input at source; return its path."""
+    workbench.input_image({"top.txt": b"top", "sub/a.txt": b"alpha",
+                           "sub/deep/b.txt": b"beta"})
+    workbench.app_image(standins.IDENTITY)
+    workbench.output_image()
+    flow = workbench.root / "workflow.json"
+    flow.write_text(json.dumps(_doc(bindings=[
+        {"source": source, "target": "app:/Inputs"},
+        {"source": "out:/Outputs", "target": "app:/Outputs"},
+    ], invocations=[{"app": "app", "argv": ["Inputs", "Outputs/data"]}])))
+    return flow
+
+
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
+def test_readable_binding_of_a_subdirectory_exposes_only_that_subtree(workbench, mode):
+    run_workflow(load_workflow(subdirectory_workflow(workbench, "in:/sub")), mode)
+    # one expected payload for both modes: the outputs are byte-identical
+    expected = encode_entries([
+        ArchiveEntry("Outputs", stat.S_IFDIR | 0o755, None),
+        ArchiveEntry("Outputs/data", stat.S_IFDIR | 0o755, None),
+        ArchiveEntry("Outputs/data/a.txt", stat.S_IFREG | 0o644, b"alpha"),
+        ArchiveEntry("Outputs/data/deep", stat.S_IFDIR | 0o755, None),
+        ArchiveEntry("Outputs/data/deep/b.txt", stat.S_IFREG | 0o644, b"beta"),
+    ])
+    with open_image(workbench.root / "output.boxi") as image:
+        assert image.dump_partition(1) == expected
+
+
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
+def test_binding_a_missing_subdirectory_is_a_sandbox_error(workbench, mode, capsys):
+    flow = subdirectory_workflow(workbench, "in:/absent")
+    with pytest.raises(SandboxError):
+        run_workflow(load_workflow(flow), mode)
+    assert main(["run", "--mode", mode, str(flow)]) == 3
+    assert "bound path /absent is not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
+def test_removing_a_writable_mount_is_a_sandbox_error(workbench, mode):
+    remover = """#!/usr/bin/env python3
+import os
+os.rmdir("Outputs")
+"""
+    workbench.app_image(remover)
+    workbench.output_image()
+    spec = workbench.spec(
+        components=[
+            {"id": "app", "role": "application", "image": "app.boxi"},
+            {"id": "out", "role": "output", "image": "output.boxi"},
+        ],
+        bindings=[{"source": "out:/Outputs", "target": "app:/Outputs"}],
+        invocations=[{"app": "app", "argv": []}],
+    )
+    with pytest.raises(SandboxError):
+        run_workflow(spec, mode)
 
 
 def test_writable_views_start_empty(workbench, tmp_path):
