@@ -21,6 +21,7 @@ from .errors import BoxiError
 from .image import (
     BoxImage,
     ImageDescription,
+    NewPartition,
     PartitionDescriptor,
     create_image,
     open_image,
@@ -66,7 +67,7 @@ __all__ = [
     "TransferReport", "bench_space", "bench_time", "bench_transfer",
     "make_synthetic_tree",
     "BoxiError",
-    "BoxImage", "ImageDescription", "PartitionDescriptor",
+    "BoxImage", "ImageDescription", "NewPartition", "PartitionDescriptor",
     "create_image", "open_image",
     "Recipe", "SoftwareManifest", "build_app_image", "pack_data_dir",
     "pack_empty_output", "parse_recipe",

@@ -186,18 +186,23 @@ def extract_entries(entries: list[ArchiveEntry], dest: Path | str) -> None:
     """Write entries into dest, creating it if needed.
 
     Parent directories implied by a path are created even if the archive
-    carries no explicit entry for them.
+    carries no explicit entry for them. Directory modes are applied last,
+    deepest first, so a read-only directory can still receive its children.
     """
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
+    directories: list[ArchiveEntry] = []
     for entry in entries:
         target = dest / entry.path
         if entry.is_dir:
             target.mkdir(parents=True, exist_ok=True)
+            directories.append(entry)
         else:
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(entry.content or b"")
-        target.chmod(stat.S_IMODE(entry.mode))
+            target.chmod(stat.S_IMODE(entry.mode))
+    for entry in sorted(directories, key=lambda e: e.path.count("/"), reverse=True):
+        (dest / entry.path).chmod(stat.S_IMODE(entry.mode))
 
 
 def extract_dir(blob: bytes, dest: Path | str) -> None:

@@ -156,9 +156,7 @@ def make_synthetic_tree(dest: Path | str, total_bytes: int, seed: int) -> None:
 
 
 def bench_time(spec: WorkflowSpec, native_commands: list[list[str]],
-               repetitions: int = DEFAULT_REPETITIONS, *,
-               mode: str = ZERO_COPY,
-               native_cwd: Path | str | None = None) -> TimeOverheadReport:
+               repetitions: int = DEFAULT_REPETITIONS) -> TimeOverheadReport:
     """Interleave native and containerized runs of the same computation.
 
     Every native command must exit 0 and every containerized invocation
@@ -173,8 +171,7 @@ def bench_time(spec: WorkflowSpec, native_commands: list[list[str]],
     for _ in range(repetitions):
         started = time.perf_counter_ns()
         for command in native_commands:
-            proc = subprocess.run(command, cwd=native_cwd,
-                                  stdout=subprocess.DEVNULL,
+            proc = subprocess.run(command, stdout=subprocess.DEVNULL,
                                   stderr=subprocess.PIPE)
             if proc.returncode != 0:
                 tail = proc.stderr.decode("utf-8", errors="replace")[-500:]
@@ -183,7 +180,7 @@ def bench_time(spec: WorkflowSpec, native_commands: list[list[str]],
         native_ns.append(time.perf_counter_ns() - started)
 
         started = time.perf_counter_ns()
-        report = run_workflow(spec, mode)
+        report = run_workflow(spec, ZERO_COPY)
         containerized_ns.append(time.perf_counter_ns() - started)
         for record in report.invocations:
             if record.exit_status != 0:

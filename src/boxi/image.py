@@ -29,9 +29,12 @@ Descriptor, 160 bytes each, one per partition:
     100     32    SHA-256 of the payload bytes
     132     28    reserved, zero
 
-Payloads are appended in place; deletes leave a hole that is reclaimed by
-compaction when the image is closed. Payload replacement rewrites the whole
-file atomically (temp file plus rename).
+An image file is written whole or not at all. Creating an image writes
+header, payloads and table to the new file in one pass. Every later change
+(add, delete, update) verifies the payloads it keeps, writes the whole image
+with its payloads back to back to a temp file beside it, fsyncs that file
+and renames it over the old one, so a crash leaves either the old image or
+the new one.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import uuid as uuidlib
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import BinaryIO, Sequence
 
 from .errors import (
     CorruptPartition,
@@ -167,6 +171,45 @@ class PartitionDescriptor:
 
 
 @dataclass(frozen=True)
+class NewPartition:
+    """A partition to be written: its payload, codes and name."""
+
+    payload: bytes
+    datatype: int
+    fstype: int
+    parttype: int
+    arch: int
+    name: str
+
+
+def _new_descriptor(existing: list[PartitionDescriptor], image_name: str,
+                    new: NewPartition) -> PartitionDescriptor:
+    """Validate a new partition and give it the next free id.
+
+    Its payload offset is left at 0 until _laid_out places it.
+    """
+    _checked_codes(new.datatype, new.fstype, new.parttype, new.arch)
+    _checked_name(new.name, "partition")
+    if new.parttype == PART_SYSTEM_PRIMARY and any(
+            p.parttype == PART_SYSTEM_PRIMARY for p in existing):
+        raise DuplicatePrimary(f"{image_name} already holds a primary partition")
+    pid = max((p.partition_id for p in existing), default=0) + 1
+    return PartitionDescriptor(
+        pid, new.datatype, new.fstype, new.parttype, new.arch, new.name,
+        0, len(new.payload), hashlib.sha256(new.payload).digest())
+
+
+def _laid_out(partitions: list[PartitionDescriptor]) -> list[PartitionDescriptor]:
+    """Place the payloads back to back after the header."""
+    placed: list[PartitionDescriptor] = []
+    offset = HEADER_SIZE
+    for part in partitions:
+        placed.append(replace(part, payload_offset=offset))
+        offset += part.payload_size
+    return placed
+
+
+@dataclass(frozen=True)
 class ImageDescription:
     """Snapshot of an image's header and descriptor table."""
 
@@ -188,42 +231,40 @@ class BoxImage:
     """
 
     def __init__(self, path: Path, image_uuid: uuidlib.UUID, created_at: int,
-                 modified_at: int, partitions: list[PartitionDescriptor],
-                 table_offset: int):
+                 modified_at: int, partitions: list[PartitionDescriptor]):
         self.path = path
         self.uuid = image_uuid
         self.created_at = created_at
         self.modified_at = modified_at
         self._partitions = partitions
-        self._table_offset = table_offset
-        self._needs_compaction = False
         self._closed = False
 
     # --- construction ---------------------------------------------------
 
     @classmethod
-    def create(cls, name: str, path: Path | str | None = None) -> "BoxImage":
-        """Create a new empty image file.
+    def create(cls, name: str, path: Path | str | None = None,
+               partitions: Sequence[NewPartition] = ()) -> "BoxImage":
+        """Create a new image file holding the given partitions.
 
-        When path is omitted the file is written as <name>.boxi in the
-        current directory.
+        Ids are assigned from 1 in the order given, and the whole file is
+        written in one pass. When path is omitted the file is written as
+        <name>.boxi in the current directory.
         """
         _checked_name(name, "image")
         if "/" in name:
             raise InvalidName(f"image name contains '/': {name!r}")
         target = Path(path) if path is not None else Path(f"{name}.boxi")
+        descriptors: list[PartitionDescriptor] = []
+        payloads: dict[int, bytes] = {}
+        for new in partitions:
+            part = _new_descriptor(descriptors, name, new)
+            descriptors.append(part)
+            payloads[part.partition_id] = new.payload
         now = int(time.time())
-        image = cls(
-            path=target,
-            image_uuid=uuidlib.uuid4(),
-            created_at=now,
-            modified_at=now,
-            partitions=[],
-            table_offset=HEADER_SIZE,
-        )
+        image = cls(target, uuidlib.uuid4(), now, now, _laid_out(descriptors))
         try:
             with open(target, "wb") as fh:
-                fh.write(image._header_bytes())
+                image._write(fh, now, image._partitions, payloads)
         except OSError as exc:
             raise IoError(f"cannot create image at {target}: {exc}") from exc
         return image
@@ -282,8 +323,7 @@ class BoxImage:
             if start_b < end_a:
                 raise NotABoxImage(f"{path}: overlapping partition extents")
 
-        return cls(path, uuidlib.UUID(bytes=raw_uuid), created, modified,
-                   partitions, table_offset)
+        return cls(path, uuidlib.UUID(bytes=raw_uuid), created, modified, partitions)
 
     # --- queries ----------------------------------------------------------
 
@@ -333,36 +373,12 @@ class BoxImage:
 
     def add_partition(self, payload: bytes, *, datatype: int, fstype: int,
                       parttype: int, arch: int, name: str) -> int:
-        """Append a partition and return its id."""
+        """Append a partition and return its id. The image is rewritten; see _commit."""
         self._ensure_open()
-        _checked_codes(datatype, fstype, parttype, arch)
-        _checked_name(name, "partition")
-        if parttype == PART_SYSTEM_PRIMARY and any(
-                p.parttype == PART_SYSTEM_PRIMARY for p in self._partitions):
-            raise DuplicatePrimary(f"{self.name} already holds a primary partition")
-        pid = max((p.partition_id for p in self._partitions), default=0) + 1
-        offset = self._table_offset
-        descriptor = PartitionDescriptor(
-            pid, datatype, fstype, parttype, arch, name,
-            offset, len(payload), hashlib.sha256(payload).digest())
-        new_table_offset = offset + len(payload)
-        try:
-            with open(self.path, "r+b") as fh:
-                fh.seek(offset)
-                fh.write(payload)
-                for part in self._partitions:
-                    fh.write(part.pack())
-                fh.write(descriptor.pack())
-                table_end = fh.tell()
-                fh.truncate(table_end)
-                self._partitions.append(descriptor)
-                self._table_offset = new_table_offset
-                self._touch()
-                fh.seek(0)
-                fh.write(self._header_bytes())
-        except OSError as exc:
-            raise IoError(f"cannot write {self.path}: {exc}") from exc
-        return pid
+        part = _new_descriptor(self._partitions, self.name, NewPartition(
+            payload, datatype, fstype, parttype, arch, name))
+        self._commit([*self._partitions, part], {part.partition_id: payload})
+        return part.partition_id
 
     def dump_partition(self, partition_id: int) -> bytes:
         """Read a payload back from disk and verify its checksum."""
@@ -382,52 +398,29 @@ class BoxImage:
         return payload
 
     def delete_partition(self, partition_id: int) -> None:
-        """Drop a descriptor; the payload hole is reclaimed on close."""
+        """Drop a partition.
+
+        The image is rewritten without it, so no hole is left; the dropped
+        payload itself is never read. See _commit.
+        """
         self._ensure_open()
         part = self.descriptor(partition_id)
-        self._partitions.remove(part)
-        if part.payload_size:
-            self._needs_compaction = True
-        try:
-            with open(self.path, "r+b") as fh:
-                fh.seek(self._table_offset)
-                for live in self._partitions:
-                    fh.write(live.pack())
-                fh.truncate(fh.tell())
-                self._touch()
-                fh.seek(0)
-                fh.write(self._header_bytes())
-        except OSError as exc:
-            raise IoError(f"cannot write {self.path}: {exc}") from exc
+        self._commit([p for p in self._partitions if p is not part], {})
 
     def update_partition(self, partition_id: int, payload: bytes) -> None:
-        """Replace a payload in place, keeping id, codes, and name.
+        """Replace a payload, keeping id, codes, and name.
 
-        The whole file is rewritten compacted and swapped in atomically.
+        The whole image is rewritten and swapped in atomically; see _commit.
         """
         self._ensure_open()
         part = self.descriptor(partition_id)
         updated = replace(part, payload_size=len(payload),
                           checksum=hashlib.sha256(payload).digest())
-        payloads = {}
-        for live in self._partitions:
-            if live.partition_id == partition_id:
-                payloads[partition_id] = payload
-            else:
-                payloads[live.partition_id] = self.dump_partition(live.partition_id)
-        self._partitions = [updated if p.partition_id == partition_id else p
-                            for p in self._partitions]
-        self._touch()
-        self._rewrite(payloads)
+        self._commit([updated if p is part else p for p in self._partitions],
+                     {partition_id: payload})
 
     def close(self) -> None:
-        """Compact the file if deletes left holes, then invalidate the handle."""
-        if self._closed:
-            return
-        if self._needs_compaction:
-            payloads = {p.partition_id: self.dump_partition(p.partition_id)
-                        for p in self._partitions}
-            self._rewrite(payloads)
+        """Invalidate the handle. Every change is already on disk."""
         self._closed = True
 
     def __enter__(self) -> "BoxImage":
@@ -442,38 +435,43 @@ class BoxImage:
         if self._closed:
             raise IoError(f"{self.name}: image handle is closed")
 
-    def _touch(self) -> None:
-        self.modified_at = max(int(time.time()), self.modified_at)
+    def _write(self, fh: BinaryIO, modified_at: int,
+               partitions: list[PartitionDescriptor], payloads: dict[int, bytes]) -> None:
+        """Write a whole image: header, laid-out payloads, descriptor table."""
+        table_offset = HEADER_SIZE + sum(part.payload_size for part in partitions)
+        fh.write(_HEADER.pack(
+            MAGIC, FORMAT_VERSION, self.uuid.bytes, self.created_at, modified_at,
+            len(partitions), table_offset, HEADER_SIZE))
+        for part in partitions:
+            fh.write(payloads[part.partition_id])
+        fh.write(b"".join(part.pack() for part in partitions))
 
-    def _header_bytes(self) -> bytes:
-        return _HEADER.pack(
-            MAGIC, FORMAT_VERSION, self.uuid.bytes,
-            self.created_at, self.modified_at,
-            len(self._partitions), self._table_offset, HEADER_SIZE)
+    def _commit(self, partitions: list[PartitionDescriptor],
+                changed: dict[int, bytes]) -> None:
+        """Make partitions the image's whole content, atomically.
 
-    def _rewrite(self, payloads: dict[int, bytes]) -> None:
-        """Write a compacted copy and atomically replace the backing file."""
-        compacted: list[PartitionDescriptor] = []
-        offset = HEADER_SIZE
-        for part in self._partitions:
-            body = payloads[part.partition_id]
-            compacted.append(replace(part, payload_offset=offset, payload_size=len(body)))
-            offset += len(body)
-        self._partitions = compacted
-        self._table_offset = offset
-        parent = self.path.resolve().parent
+        changed maps ids to new payloads; every other payload is read back
+        and verified first, so a corrupt partition is never copied forward.
+        The image is written to a temp file beside it, fsynced, and renamed
+        over it; a symlinked path is followed, so the link stays a link. The
+        handle takes the new state only once the rename is done.
+        """
+        payloads = {part.partition_id: changed[part.partition_id]
+                    if part.partition_id in changed
+                    else self.dump_partition(part.partition_id)
+                    for part in partitions}
+        placed = _laid_out(partitions)
+        modified_at = max(int(time.time()), self.modified_at)
+        target = self.path.resolve()
         try:
-            fd, temp_name = tempfile.mkstemp(dir=parent, prefix=f".{self.path.name}.")
+            fd, temp_name = tempfile.mkstemp(dir=target.parent,
+                                             prefix=f".{target.name}.")
             try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(self._header_bytes())
-                    for part in compacted:
-                        fh.write(payloads[part.partition_id])
-                    for part in compacted:
-                        fh.write(part.pack())
+                with open(fd, "wb") as fh:
+                    self._write(fh, modified_at, placed, payloads)
                     fh.flush()
                     os.fsync(fh.fileno())
-                os.replace(temp_name, self.path)
+                os.replace(temp_name, target)
             except BaseException:
                 try:
                     os.unlink(temp_name)
@@ -482,12 +480,14 @@ class BoxImage:
                 raise
         except OSError as exc:
             raise IoError(f"cannot rewrite {self.path}: {exc}") from exc
-        self._needs_compaction = False
+        self._partitions = placed
+        self.modified_at = modified_at
 
 
-def create_image(name: str, path: Path | str | None = None) -> BoxImage:
-    """Create a new empty image file; see BoxImage.create."""
-    return BoxImage.create(name, path)
+def create_image(name: str, path: Path | str | None = None,
+                 partitions: Sequence[NewPartition] = ()) -> BoxImage:
+    """Create a new image file holding the given partitions; see BoxImage.create."""
+    return BoxImage.create(name, path, partitions)
 
 
 def open_image(path: Path | str) -> BoxImage:

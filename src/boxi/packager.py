@@ -48,6 +48,7 @@ from .image import (
     PART_DATA,
     PART_SYSTEM_PRIMARY,
     BoxImage,
+    NewPartition,
     create_image,
 )
 
@@ -263,16 +264,14 @@ def pack_data_dir(dir_path: Path | str, image_name: str,
         payload = encode_dir(dir_path)
     except OSError as exc:
         raise IoError(f"cannot read {dir_path}: {exc}") from exc
-    image = create_image(image_name, path)
-    image.add_partition(
+    return create_image(image_name, path, [NewPartition(
         payload,
         datatype=DATA_PARTITION,
         fstype=FS_ARCHIVE_RW,
         parttype=PART_DATA,
         arch=ARCH_X86_64,
         name=dir_path.resolve().name or "data",
-    )
-    return image
+    )])
 
 
 def pack_empty_output(dir_name: str, image_name: str,
@@ -282,16 +281,14 @@ def pack_empty_output(dir_name: str, image_name: str,
     parts = inner.split("/")
     entries = [ArchiveEntry("/".join(parts[:depth]), stat.S_IFDIR | 0o755, None)
                for depth in range(1, len(parts) + 1)]
-    image = create_image(image_name, path)
-    image.add_partition(
+    return create_image(image_name, path, [NewPartition(
         encode_entries(entries),
         datatype=DATA_PARTITION,
         fstype=FS_ARCHIVE_RW,
         parttype=PART_DATA,
         arch=ARCH_X86_64,
         name=inner,
-    )
-    return image
+    )])
 
 
 def build_app_image(recipe: Recipe, image_name: str,
@@ -329,13 +326,11 @@ def build_app_image(recipe: Recipe, image_name: str,
     )
     pairs.append((MANIFEST_PATH, stat.S_IFREG | 0o644, manifest.to_text().encode("utf-8")))
 
-    image = create_image(image_name, path)
-    image.add_partition(
+    return create_image(image_name, path, [NewPartition(
         encode_entries(_entries_with_parents(pairs)),
         datatype=DATA_PARTITION,
         fstype=FS_ARCHIVE_RO,
         parttype=PART_SYSTEM_PRIMARY,
         arch=ARCH_X86_64,
         name="system",
-    )
-    return image
+    )])

@@ -37,6 +37,7 @@ from .image import (
     FS_ARCHIVE_RO,
     PART_METADATA,
     BoxImage,
+    NewPartition,
     create_image,
     iso_utc,
     open_image,
@@ -227,7 +228,8 @@ def assemble_record_trail(spec: WorkflowSpec, report: ExecutionReport,
 def attach_metadata(image: BoxImage, trail: RecordTrail) -> int:
     """Store the trail as the image's single metadata partition.
 
-    An existing metadata partition is replaced in place, keeping its id.
+    An existing metadata partition keeps its id and gets the new payload.
+    Either way the image is rewritten whole and swapped in atomically.
     Returns the partition id holding the trail.
     """
     payload = trail.to_canonical_json()
@@ -255,17 +257,14 @@ def attach_metadata_isolated(trail: RecordTrail,
     The collocated form (attach_metadata) is the preferred one; this
     stand-alone variant exists for comparison.
     """
-    name = f"{trail.output.name}-metadata"
-    image = create_image(name, path)
-    image.add_partition(
+    return create_image(f"{trail.output.name}-metadata", path, [NewPartition(
         trail.to_canonical_json(),
         datatype=DATA_JSON,
         fstype=FS_ARCHIVE_RO,
         parttype=PART_METADATA,
         arch=ARCH_ANY,
         name=METADATA_PARTITION_NAME,
-    )
-    return image
+    )])
 
 
 def read_trail(image: BoxImage) -> RecordTrail:

@@ -451,7 +451,8 @@ class ExecutionReport:
 def _make_run_dir(sandbox_root: Path | str | None) -> Path:
     base = Path(sandbox_root) if sandbox_root is not None else \
         Path(os.environ.get(SANDBOX_ENV) or tempfile.gettempdir())
-    run_dir = base / f"boxi-run-{uuidlib.uuid4().hex[:12]}"
+    # Absolute, because runscripts are executed by path with cwd set to the view.
+    run_dir = base.absolute() / f"boxi-run-{uuidlib.uuid4().hex[:12]}"
     try:
         run_dir.mkdir(parents=True, exist_ok=False)
     except OSError as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import stat
 import struct
 import uuid
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,7 +24,7 @@ from boxi.archive import (
 )
 from boxi.errors import MalformedArchive, UnsupportedEntry
 
-from .oracles import assert_same_tree
+from .oracles import assert_same_tree, walk_tree
 
 FILE = 0o100644
 EXEC = 0o100755
@@ -124,6 +125,31 @@ def test_scan_dir_rejects_non_directory(tmp_path):
 def test_extract_creates_implied_parents(tmp_path):
     extract_entries([ArchiveEntry("a/b/c.txt", FILE, b"x")], tmp_path / "out")
     assert (tmp_path / "out" / "a" / "b" / "c.txt").read_bytes() == b"x"
+
+
+def test_extract_fills_a_read_only_directory(tmp_path, monkeypatch):
+    # Root may create entries anywhere, so stand in for the kernel's check
+    # that refuses a new entry inside a directory without owner write.
+    def refusing(real):
+        def guarded(self, *args, **kwargs):
+            if not self.exists() and not self.parent.stat().st_mode & stat.S_IWUSR:
+                raise PermissionError(13, "Permission denied", str(self))
+            return real(self, *args, **kwargs)
+        return guarded
+
+    monkeypatch.setattr(Path, "mkdir", refusing(Path.mkdir))
+    monkeypatch.setattr(Path, "write_bytes", refusing(Path.write_bytes))
+    entries = [ArchiveEntry("ro", 0o40555, None),
+               ArchiveEntry("ro/inner", 0o40555, None),
+               ArchiveEntry("ro/inner/f.txt", 0o100444, b"x"),
+               ArchiveEntry("ro/z.txt", FILE, b"z")]
+    extract_entries(entries, tmp_path / "out")
+    monkeypatch.undo()
+    tree = walk_tree(tmp_path / "out")
+    assert tree == {"ro": ("dir", 0o555, None),
+                    "ro/inner": ("dir", 0o555, None),
+                    "ro/inner/f.txt": ("file", 0o444, b"x"),
+                    "ro/z.txt": ("file", 0o644, b"z")}
 
 
 @pytest.mark.parametrize("path", ["", "/abs", "a//b", "a/../b", ".", "a/./b"])

@@ -293,6 +293,46 @@ def test_dump_checksum_failure_exits_4(tmp_path, capsys):
     assert main(["dump", str(image), "1", "-"]) == 4
 
 
+def image_with_corrupt_output(tmp_path, capsys):
+    """An output image whose data partition 1 fails its checksum; 2 is sound."""
+    image = tmp_path / "out.boxi"
+    main(["new-output", "Outputs", str(image)])
+    payload = tmp_path / "notes.json"
+    payload.write_bytes(b"{}")
+    main(["add", str(image), str(payload), "--datatype", "3",
+          "--partfs", "1", "--parttype", "4", "--partarch", "0"])
+    capsys.readouterr()
+    record = read_descriptors(image)[0]
+    with open(image, "r+b") as fh:
+        fh.seek(record["offset"])
+        fh.write(bytes([record["payload"][0] ^ 0x01]))
+    return image, payload
+
+
+def test_del_of_the_corrupt_partition_itself_succeeds(tmp_path, capsys):
+    image, _ = image_with_corrupt_output(tmp_path, capsys)
+    assert main(["del", str(image), "1"]) == 0
+    assert [r["id"] for r in read_descriptors(image)] == [2]
+    assert main(["dump", str(image), "2", str(tmp_path / "two.json")]) == 0
+    assert (tmp_path / "two.json").read_bytes() == b"{}"
+
+
+@pytest.mark.parametrize("command", ["del", "add"])
+def test_changes_next_to_a_corrupt_partition_exit_4_and_write_nothing(
+        tmp_path, capsys, command):
+    image, payload = image_with_corrupt_output(tmp_path, capsys)
+    before = image.read_bytes()
+    if command == "del":
+        argv = ["del", str(image), "2"]
+    else:
+        argv = ["add", str(image), str(payload), "--datatype", "3",
+                "--partfs", "1", "--parttype", "4", "--partarch", "0"]
+    assert main(argv) == 4
+    assert "boxi:" in capsys.readouterr().err
+    assert image.read_bytes() == before
+    assert list(tmp_path.glob(".out.boxi.*")) == []
+
+
 # The README's exit-code table: 4 for corruption, 3 for runtime failures,
 # 2 for every other error.
 CORRUPTION = {"NotABoxImage", "TruncatedImage", "CorruptPartition",

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import shutil
 import struct
 import time
 import uuid as uuidlib
@@ -35,6 +37,7 @@ from boxi.image import (
     PART_METADATA,
     PART_SYSTEM_PRIMARY,
     BoxImage,
+    NewPartition,
     create_image,
     iso_utc,
     open_image,
@@ -232,6 +235,7 @@ def test_delete_then_close_reclaims_the_hole(tmp_path):
     img.add_partition(b"A" * 1000, name="gone", **DATA_CODES)
     keep = img.add_partition(b"keep", name="keep", **DATA_CODES)
     img.delete_partition(1)
+    assert img.path.stat().st_size == 60 + 4 + 160
     img.close()
     reopened = open_image(img.path)
     assert [p.partition_id for p in reopened.partitions] == [keep]
@@ -267,6 +271,133 @@ def test_update_keeps_identity_and_replaces_bytes(tmp_path):
     reopened = open_image(img.path)
     assert reopened.dump_partition(pid) == b"after, and longer"
     assert img.path.stat().st_size == 60 + 17 + 5 + 2 * 160
+
+
+def test_create_writes_its_partitions_in_one_file(tmp_path):
+    img = create_image("packed", tmp_path / "packed.boxi", [
+        NewPartition(b"aaa", name="a", **DATA_CODES),
+        NewPartition(b"{}", datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
+                     parttype=PART_METADATA, arch=ARCH_ANY, name="m"),
+    ])
+    a, m = read_descriptors(img.path)
+    assert (a["id"], a["offset"], a["payload"]) == (1, 60, b"aaa")
+    assert (m["id"], m["offset"], m["payload"]) == (2, 63, b"{}")
+    assert read_header(img.path)["table_offset"] == 65
+    assert img.path.stat().st_size == 65 + 2 * 160
+    assert open_image(img.path).partitions == img.partitions
+
+
+def test_create_with_a_bad_partition_writes_nothing(tmp_path):
+    target = tmp_path / "bad.boxi"
+    with pytest.raises(InvalidName):
+        create_image("bad", target, [NewPartition(b"x", name="", **DATA_CODES)])
+    primary = dict(DATA_CODES, parttype=PART_SYSTEM_PRIMARY)
+    with pytest.raises(DuplicatePrimary):
+        create_image("bad", target, [NewPartition(b"x", name="a", **primary),
+                                     NewPartition(b"y", name="b", **primary)])
+    assert not target.exists()
+
+
+class _WriteFaults:
+    """Counts writes to the files the image module opens for writing.
+
+    The write numbered fail_at raises ENOSPC; 0 lets every write through.
+    """
+
+    def __init__(self, monkeypatch, fail_at):
+        self.fail_at = fail_at
+        self.writes = 0
+        monkeypatch.setattr(image_mod, "open", self._open, raising=False)
+
+    def _open(self, file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return _FaultyFile(fh, self) if "w" in mode or "+" in mode else fh
+
+    def count(self):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(errno.ENOSPC, "injected write failure")
+
+
+class _FaultyFile:
+    def __init__(self, fh, faults):
+        self._fh = fh
+        self._faults = faults
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def write(self, data):
+        self._faults.count()
+        return self._fh.write(data)
+
+
+def _raise_oserror(*args, **kwargs):
+    raise OSError(errno.EIO, "injected failure")
+
+
+MUTATIONS = {
+    "add": lambda img: img.add_partition(b"new payload", name="new", **DATA_CODES),
+    "delete": lambda img: img.delete_partition(1),
+    "update": lambda img: img.update_partition(2, b"replacement"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_a_failed_change_leaves_the_image_as_it_was(tmp_path, monkeypatch, mutation):
+    change = MUTATIONS[mutation]
+    img = make_image(tmp_path)
+    payloads = {img.add_partition(b"A" * 1000, name="a", **DATA_CODES): b"A" * 1000,
+                img.add_partition(b"{}", name="b", **DATA_CODES): b"{}"}
+    before = img.path.read_bytes()
+
+    twin = tmp_path / "twin.boxi"
+    shutil.copyfile(img.path, twin)
+    with monkeypatch.context() as patch:
+        counter = _WriteFaults(patch, fail_at=0)
+        change(open_image(twin))
+    assert counter.writes >= 3  # at least header, payloads and table
+
+    faults = [("write", n) for n in range(1, counter.writes + 1)]
+    faults += [("fsync", None), ("replace", None)]
+    for fault, n in faults:
+        with monkeypatch.context() as patch:
+            if fault == "write":
+                _WriteFaults(patch, fail_at=n)
+            else:
+                patch.setattr(image_mod.os, fault, _raise_oserror)
+            with pytest.raises(IoError):
+                change(img)
+        where = f"{fault} {n or ''}"
+        assert img.path.read_bytes() == before, where
+        reopened = open_image(img.path)
+        assert {pid: reopened.dump_partition(pid) for pid in payloads} == payloads, where
+        assert list(tmp_path.glob(f".{img.path.name}.*")) == [], where
+        assert {pid: img.dump_partition(pid) for pid in payloads} == payloads, where
+
+    change(img)
+    assert open_image(img.path).partitions == img.partitions
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_a_change_through_a_symlink_rewrites_its_target(tmp_path, mutation):
+    real = make_image(tmp_path)
+    real.add_partition(b"A" * 1000, name="a", **DATA_CODES)
+    real.add_partition(b"{}", name="b", **DATA_CODES)
+    (tmp_path / "links").mkdir()
+    link = tmp_path / "links" / "img.boxi"
+    link.symlink_to(real.path)
+    via_link = open_image(link)
+    MUTATIONS[mutation](via_link)
+    assert link.is_symlink()
+    assert open_image(real.path).partitions == via_link.partitions
+    assert list((tmp_path / "links").iterdir()) == [link]
 
 
 def test_closed_handle_refuses_operations(tmp_path):

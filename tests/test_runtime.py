@@ -647,6 +647,22 @@ def test_sandbox_root_argument_beats_the_env(workbench, tmp_path, monkeypatch):
     assert report.sandbox_dir.startswith(str(explicit))
 
 
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
+@pytest.mark.parametrize("via_env", [False, True], ids=["argument", "env"])
+def test_relative_sandbox_root_runs(workbench, tmp_path, monkeypatch, mode, via_env):
+    spec = workbench.identity_spec()
+    monkeypatch.chdir(tmp_path)
+    if via_env:
+        monkeypatch.setenv(SANDBOX_ENV, "rel-sandbox")
+        report = run_workflow(spec, mode, keep_sandbox=True)
+    else:
+        report = run_workflow(spec, mode, sandbox_root="rel-sandbox", keep_sandbox=True)
+    assert [rec.exit_status for rec in report.invocations] == [0]
+    assert report.sandbox_dir.startswith(str(tmp_path / "rel-sandbox") + "/")
+    tree = output_tree(workbench.root / "output.boxi", tmp_path / "check")
+    assert tree["Outputs/data/a.txt"][2] == b"alpha\n"
+
+
 def test_report_mapping_shape(workbench):
     report = run_workflow(workbench.identity_spec(), ZERO_COPY)
     mapping = report.to_mapping()
