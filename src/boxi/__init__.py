@@ -20,7 +20,6 @@ from .bench import (
 from .errors import BoxiError
 from .image import (
     BoxImage,
-    ImageDescription,
     NewPartition,
     PartitionDescriptor,
     create_image,
@@ -67,7 +66,7 @@ __all__ = [
     "TransferReport", "bench_space", "bench_time", "bench_transfer",
     "make_synthetic_tree",
     "BoxiError",
-    "BoxImage", "ImageDescription", "NewPartition", "PartitionDescriptor",
+    "BoxImage", "NewPartition", "PartitionDescriptor",
     "create_image", "open_image",
     "Recipe", "SoftwareManifest", "build_app_image", "pack_data_dir",
     "pack_empty_output", "parse_recipe",

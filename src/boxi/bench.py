@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .archive import content_bytes, decode
+from .document import Document
 from .errors import BenchAborted, IoError
 from .image import (
     DATA_PARTITION,
@@ -35,7 +36,6 @@ from .image import (
     open_image,
 )
 from .packager import pack_data_dir, pack_empty_output
-from .provenance import canonical_json
 from .runtime import (
     ZERO_COPY,
     WorkflowSpec,
@@ -52,7 +52,7 @@ DEFAULT_REPETITIONS = 20
 
 
 @dataclass(frozen=True)
-class TimeOverheadReport:
+class TimeOverheadReport(Document):
     label: str
     samples: int
     native_ns: tuple[int, ...]
@@ -60,20 +60,6 @@ class TimeOverheadReport:
     median_native_ns: float
     median_containerized_ns: float
     overhead_ratio: float
-
-    def to_mapping(self) -> dict:
-        return {
-            "label": self.label,
-            "samples": self.samples,
-            "native_ns": list(self.native_ns),
-            "containerized_ns": list(self.containerized_ns),
-            "median_native_ns": self.median_native_ns,
-            "median_containerized_ns": self.median_containerized_ns,
-            "overhead_ratio": self.overhead_ratio,
-        }
-
-    def to_json(self) -> bytes:
-        return canonical_json(self.to_mapping())
 
 
 @dataclass(frozen=True)
@@ -85,30 +71,13 @@ class SpaceRow:
 
 
 @dataclass(frozen=True)
-class SpaceOverheadReport:
+class SpaceOverheadReport(Document):
     rows: tuple[SpaceRow, ...]
     fixed_overhead_bytes: int = EMPTY_DATA_IMAGE_BYTES
 
-    def to_mapping(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "label": row.label,
-                    "original_bytes": row.original_bytes,
-                    "containerized_bytes": row.containerized_bytes,
-                    "delta_bytes": row.delta_bytes,
-                }
-                for row in self.rows
-            ],
-            "fixed_overhead_bytes": self.fixed_overhead_bytes,
-        }
-
-    def to_json(self) -> bytes:
-        return canonical_json(self.to_mapping())
-
 
 @dataclass(frozen=True)
-class TransferReport:
+class TransferReport(Document):
     payload_bytes: int
     repetitions: int
     seed: int
@@ -119,23 +88,6 @@ class TransferReport:
     median_zero_ns: float
     median_two_ns: float
     speedup_percent: float
-
-    def to_mapping(self) -> dict:
-        return {
-            "payload_bytes": self.payload_bytes,
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-            "zero_copy_ns": list(self.zero_copy_ns),
-            "two_copy_ns": list(self.two_copy_ns),
-            "zero_copy_events": self.zero_copy_events,
-            "two_copy_events": self.two_copy_events,
-            "median_zero_ns": self.median_zero_ns,
-            "median_two_ns": self.median_two_ns,
-            "speedup_percent": self.speedup_percent,
-        }
-
-    def to_json(self) -> bytes:
-        return canonical_json(self.to_mapping())
 
 
 def make_synthetic_tree(dest: Path | str, total_bytes: int, seed: int) -> None:

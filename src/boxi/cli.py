@@ -18,13 +18,15 @@ from .errors import BoxiError, IoError
 from .image import (
     ARCH_NAMES,
     DATATYPE_NAMES,
+    FORMAT_VERSION,
     FSTYPE_NAMES,
     PART_METADATA,
     PARTTYPE_NAMES,
     iso_utc,
     open_image,
 )
-from .packager import Recipe, build_app_image, pack_data_dir, pack_empty_output, parse_recipe
+from .packager import (Recipe, build_app_image, pack_data_dir, pack_empty_output,
+                       parse_recipe, utf8_text)
 from .provenance import assemble_record_trail, attach_metadata, read_trail
 from .runtime import MODES, ZERO_COPY, load_workflow, run_workflow, workflow_from_mapping
 from .standins import SLEEPER, write_script
@@ -152,11 +154,12 @@ def _cmd_new_output(args: argparse.Namespace) -> int:
 def _cmd_build(args: argparse.Namespace) -> int:
     recipe_path = Path(args.recipe)
     try:
-        text = recipe_path.read_text("utf-8")
+        raw = recipe_path.read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read recipe {recipe_path}: {exc}") from exc
-    image = build_app_image(parse_recipe(text), Path(args.image).stem,
-                            args.image, source_root=recipe_path.parent)
+    recipe = parse_recipe(utf8_text(raw, "recipe"))
+    image = build_app_image(recipe, Path(args.image).stem, args.image,
+                            source_root=recipe_path.parent)
     image.close()
     print(image.uuid)
     return 0
@@ -199,15 +202,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     with open_image(args.image) as image:
-        info = image.describe()
+        try:
+            file_size = image.path.stat().st_size
+        except OSError as exc:
+            raise IoError(f"cannot stat {image.path}: {exc}") from exc
     if args.json:
         print(json.dumps({
-            "name": info.name,
-            "uuid": info.uuid,
-            "format_version": info.format_version,
-            "created": iso_utc(info.created_at),
-            "modified": iso_utc(info.modified_at),
-            "file_size": info.file_size,
+            "name": image.name,
+            "uuid": str(image.uuid),
+            "format_version": FORMAT_VERSION,
+            "created": iso_utc(image.created_at),
+            "modified": iso_utc(image.modified_at),
+            "file_size": file_size,
             "partitions": [
                 {
                     "id": part.partition_id,
@@ -219,18 +225,18 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                     "size": part.payload_size,
                     "sha256": part.checksum.hex(),
                 }
-                for part in info.partitions
+                for part in image.partitions
             ],
         }, indent=2))
         return 0
-    print(f"name      {info.name}")
-    print(f"uuid      {info.uuid}")
-    print(f"version   {info.format_version}")
-    print(f"created   {iso_utc(info.created_at)}")
-    print(f"modified  {iso_utc(info.modified_at)}")
-    print(f"size      {info.file_size} bytes")
-    print(f"partitions ({len(info.partitions)}):")
-    for part in info.partitions:
+    print(f"name      {image.name}")
+    print(f"uuid      {image.uuid}")
+    print(f"version   {FORMAT_VERSION}")
+    print(f"created   {iso_utc(image.created_at)}")
+    print(f"modified  {iso_utc(image.modified_at)}")
+    print(f"size      {file_size} bytes")
+    print(f"partitions ({len(image.partitions)}):")
+    for part in image.partitions:
         kinds = (f"{DATATYPE_NAMES[part.datatype]}/{FSTYPE_NAMES[part.fstype]}/"
                  f"{PARTTYPE_NAMES[part.parttype]}/{ARCH_NAMES[part.arch]}")
         print(f"  {part.partition_id:>3}  {kinds:<44} {part.payload_size:>10}  {part.name}")

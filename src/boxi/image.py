@@ -209,20 +209,6 @@ def _laid_out(partitions: list[PartitionDescriptor]) -> list[PartitionDescriptor
     return placed
 
 
-@dataclass(frozen=True)
-class ImageDescription:
-    """Snapshot of an image's header and descriptor table."""
-
-    name: str
-    path: str
-    uuid: str
-    format_version: int
-    created_at: int
-    modified_at: int
-    file_size: int
-    partitions: tuple[PartitionDescriptor, ...]
-
-
 class BoxImage:
     """Handle to one image file.
 
@@ -351,23 +337,6 @@ class BoxImage:
                 continue
             found.append(part)
         return found
-
-    def describe(self) -> ImageDescription:
-        self._ensure_open()
-        try:
-            size = self.path.stat().st_size
-        except OSError as exc:
-            raise IoError(f"cannot stat {self.path}: {exc}") from exc
-        return ImageDescription(
-            name=self.name,
-            path=str(self.path),
-            uuid=str(self.uuid),
-            format_version=FORMAT_VERSION,
-            created_at=self.created_at,
-            modified_at=self.modified_at,
-            file_size=size,
-            partitions=self.partitions,
-        )
 
     # --- partition operations ----------------------------------------------
 

@@ -12,7 +12,8 @@ Recipe grammar (UTF-8, line oriented):
     from = ubuntu:16.04
 
     [packages]
-    gnuplot              # bare name, or name = version
+    # one package per line: a bare name, or name = version
+    gnuplot
     [files]
     host/path = /image/path
     [environment]
@@ -148,6 +149,17 @@ class SoftwareManifest:
             environment=[pair for _, pair in sorted(environment)],
             runscript=runscript,
         )
+
+
+def utf8_text(raw: bytes, what: str) -> str:
+    """Decode recipe or manifest bytes; a byte that is not UTF-8 raises
+    RecipeParseError at its line, numbered as the parsers number lines."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = raw[:exc.start].decode("utf-8")
+        line = len((before + "x").splitlines())
+        raise RecipeParseError(f"{what} is not UTF-8: {exc.reason}", line) from None
 
 
 def parse_recipe(text: str) -> Recipe:

@@ -7,8 +7,8 @@ the inputs bound into those applications, and the output itself. The trail
 is serialized as canonical JSON and stored as a json-generic metadata
 partition of the output image, so the data carries its own history.
 
-Canonical serialization: two-space indent, keys in schema order, LF line
-endings, trailing newline. Document schema:
+The trail is written in the canonical JSON form defined in document.py.
+Its keys are the fields of RecordTrail and ComponentRecord, in order:
 
     {
       "schema_version": 1,
@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import json
 import uuid as uuidlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .document import Document, canonical_json  # noqa: F401  (re-exported)
 from .errors import MalformedTrail, NoMetadataPartition, NotAnOutputOfRun
 from .image import (
     ARCH_ANY,
@@ -55,18 +56,9 @@ SCHEMA_VERSION = 1
 
 METADATA_PARTITION_NAME = "metadata"
 
-_RECORD_KEYS = ("role", "name", "uuid", "created", "modified")
-_TRAIL_KEYS = ("schema_version", "workflow_label", "output", "record_trail",
-               "command", "executed_at", "exit_status")
-
-
-def canonical_json(mapping: dict) -> bytes:
-    """Serialize a mapping in the package's canonical JSON form."""
-    return (json.dumps(mapping, indent=2) + "\n").encode("utf-8")
-
 
 @dataclass(frozen=True)
-class ComponentRecord:
+class ComponentRecord(Document):
     """Static metadata of one component image."""
 
     role: str
@@ -74,9 +66,6 @@ class ComponentRecord:
     uuid: str
     created: str
     modified: str
-
-    def to_mapping(self) -> dict:
-        return {key: getattr(self, key) for key in _RECORD_KEYS}
 
     @classmethod
     def from_mapping(cls, raw: object) -> "ComponentRecord":
@@ -97,7 +86,7 @@ class ComponentRecord:
 
 
 @dataclass(frozen=True)
-class RecordTrail:
+class RecordTrail(Document):
     """The per-output provenance document."""
 
     schema_version: int
@@ -108,19 +97,8 @@ class RecordTrail:
     executed_at: str
     exit_status: int
 
-    def to_mapping(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "workflow_label": self.workflow_label,
-            "output": self.output.to_mapping(),
-            "record_trail": [rec.to_mapping() for rec in self.record_trail],
-            "command": self.command,
-            "executed_at": self.executed_at,
-            "exit_status": self.exit_status,
-        }
-
     def to_canonical_json(self) -> bytes:
-        return canonical_json(self.to_mapping())
+        return self.to_json()
 
     @classmethod
     def from_mapping(cls, raw: object) -> "RecordTrail":
@@ -156,9 +134,13 @@ class RecordTrail:
     def from_json(cls, payload: bytes) -> "RecordTrail":
         try:
             raw = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise MalformedTrail(f"metadata payload is not JSON: {exc}") from exc
         return cls.from_mapping(raw)
+
+
+_RECORD_KEYS = tuple(f.name for f in fields(ComponentRecord))
+_TRAIL_KEYS = tuple(f.name for f in fields(RecordTrail))
 
 
 def capture_static_metadata(image: BoxImage, role: str) -> ComponentRecord:

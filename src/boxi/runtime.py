@@ -16,8 +16,11 @@ they emit around it:
 A copy event is one materialize, stage, copy-in, copy-out or repack step:
 2 per input-to-output path in zero-copy, 4 in two-copy. A repack replaces
 only the bound subtree of its partition, so both modes produce identical
-output bytes. The direct transfers are plans of the same steps with no
-application. The sandbox root honours the BOXI_SANDBOX environment variable.
+output bytes. An application that writes into a readable mount fails the
+run with SandboxError in both modes, before anything is repacked: in
+zero-copy the next view would see the change. The direct transfers are
+plans of the same steps with no application. The sandbox root honours the
+BOXI_SANDBOX environment variable.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from pathlib import Path
 
 from . import archive
 from .archive import ArchiveEntry
+from .document import plain
 from .errors import (
     BoxiError,
     ConflictingWrites,
@@ -48,7 +52,7 @@ from .errors import (
     WrongPartitionType,
 )
 from .image import BoxImage, PART_DATA, PART_SYSTEM_PRIMARY, open_image
-from .packager import MANIFEST_PATH, SoftwareManifest
+from .packager import MANIFEST_PATH, SoftwareManifest, utf8_text
 
 ZERO_COPY = "zero-copy"
 TWO_COPY = "two-copy"
@@ -128,12 +132,12 @@ def load_workflow(path: Path | str) -> WorkflowSpec:
     """Read a workflow JSON file; image paths resolve against its directory."""
     path = Path(path)
     try:
-        text = path.read_text("utf-8")
+        raw = path.read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read workflow file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InvalidWorkflowSpec(f"{path} is not valid JSON: {exc}") from exc
     return workflow_from_mapping(doc, base_dir=path.parent)
 
@@ -424,28 +428,10 @@ class ExecutionReport:
     sandbox_dir: str | None = None
 
     def to_mapping(self) -> dict:
-        return {
-            "label": self.label,
-            "mode": self.mode,
-            "invocations": [
-                {
-                    "component_id": rec.component_id,
-                    "argv": list(rec.argv),
-                    "started_ns": rec.started_ns,
-                    "finished_ns": rec.finished_ns,
-                    "exit_status": rec.exit_status,
-                    "stderr_tail": rec.stderr_tail,
-                }
-                for rec in self.invocations
-            ],
-            "copy_events": self.copy_events,
-            "outputs_written": [
-                {"component_id": ow.component_id,
-                 "partition_ids": list(ow.partition_ids)}
-                for ow in self.outputs_written
-            ],
-            "bindings_used": list(self.bindings_used),
-        }
+        """The report as boxi run --json prints it; sandbox_dir is left out."""
+        mapping = plain(self)
+        del mapping["sandbox_dir"]
+        return mapping
 
 
 def _make_run_dir(sandbox_root: Path | str | None) -> Path:
@@ -485,7 +471,28 @@ def _read_manifest(view: Path, app_id: str) -> SoftwareManifest:
     manifest_file = view / MANIFEST_PATH
     if not manifest_file.is_file():
         raise NoRunscript(f"application {app_id!r} ships no {MANIFEST_PATH}")
-    return SoftwareManifest.from_text(manifest_file.read_text("utf-8"))
+    return SoftwareManifest.from_text(
+        utf8_text(manifest_file.read_bytes(), MANIFEST_PATH))
+
+
+def _snapshot(root: Path) -> list[tuple[str, int, int, int, int]]:
+    """Path, mode, size, mtime and inode of root and of every entry under it.
+
+    No file is read: a write changes the size, mtime or inode of what it
+    touches, or the mtime of the directory it adds to or removes from.
+    """
+    try:
+        top = root.stat()  # follows a link mount to its shared directory
+    except OSError:
+        return []
+    found = [(str(root), top.st_mode, top.st_size, top.st_mtime_ns, top.st_ino)]
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames + filenames:
+            path = os.path.join(dirpath, name)
+            entry = os.lstat(path)
+            found.append((path, entry.st_mode, entry.st_size,
+                          entry.st_mtime_ns, entry.st_ino))
+    return sorted(found)
 
 
 def _execute(view: Path, app_id: str, argv: tuple[str, ...]) -> InvocationRecord:
@@ -524,8 +531,10 @@ def _run_plan(plan: MountPlan, handles: dict[str, BoxImage],
 
     Each image is opened at most once, through handles keyed by path, and
     closed at the end. Repack steps run last, all steps for one partition
-    through a single update_partition. The report is returned even when
-    applications exit nonzero; only infrastructure failures raise.
+    through a single update_partition. The link and copy-in mounts of a
+    view are snapshot before and after its exec; a difference raises
+    SandboxError. Otherwise the report is returned even when applications
+    exit nonzero; only infrastructure failures raise.
     """
     run_dir = _make_run_dir(sandbox_root)
 
@@ -545,7 +554,16 @@ def _run_plan(plan: MountPlan, handles: dict[str, BoxImage],
                        if step.op == VIEW else step.partition_id)
                 archive.extract_dir(handle.dump_partition(pid), dst)
             elif step.op == EXEC:
+                readable = [run_dir / mount.dst for mount in plan.steps
+                            if mount.op in (LINK, COPY_IN)
+                            and mount.dst.startswith(step.dst + "/")]
+                before = [_snapshot(path) for path in readable]
                 records.append(_execute(dst, step.component, step.argv))
+                for path, snapshot in zip(readable, before):
+                    if _snapshot(path) != snapshot:
+                        raise SandboxError(
+                            f"application {step.component!r} wrote into its "
+                            f"readable mount /{path.relative_to(dst)}")
             elif step.op == REPACK:
                 repacks.setdefault((step.image, step.partition_id), []).append(step)
             else:
@@ -599,8 +617,9 @@ def run_workflow(spec: WorkflowSpec, mode: str = ZERO_COPY, *,
                  keep_sandbox: bool = False) -> ExecutionReport:
     """Execute every invocation, repack written outputs, report what happened.
 
-    The report is returned even when applications exit nonzero; only
-    infrastructure failures raise.
+    The report is returned even when applications exit nonzero. Only
+    infrastructure failures raise, and so does an application that changes
+    a readable mount: SandboxError, before anything is repacked.
     """
     return _run_plan(plan_mounts(spec, mode), {}, sandbox_root, keep_sandbox)
 

@@ -91,6 +91,9 @@ def test_space_report_json_round_trips(workbench):
     parsed = json.loads(report.to_json().decode("utf-8"))
     assert parsed == report.to_mapping()
     assert [row["label"] for row in parsed["rows"]] == ["in", "app", "out"]
+    assert list(parsed) == ["rows", "fixed_overhead_bytes"]
+    assert {tuple(row) for row in parsed["rows"]} == {
+        ("label", "original_bytes", "containerized_bytes", "delta_bytes")}
 
 
 def sleeper_spec(workbench, seconds="0.01"):
@@ -119,6 +122,16 @@ def test_time_report_shape_and_arithmetic(workbench):
     assert report.overhead_ratio == pytest.approx(expected)
     # containerization can only add work on top of the same sleep
     assert report.overhead_ratio > 0
+
+
+def test_time_report_json_keeps_the_key_order(workbench):
+    spec, _ = sleeper_spec(workbench, seconds="0")
+    report = bench_time(spec, [[sys.executable, "-c", "pass"]], repetitions=2)
+    parsed = json.loads(report.to_json().decode("utf-8"))
+    assert parsed == report.to_mapping()
+    assert list(parsed) == [
+        "label", "samples", "native_ns", "containerized_ns",
+        "median_native_ns", "median_containerized_ns", "overhead_ratio"]
 
 
 def test_time_bench_needs_two_repetitions(workbench):
@@ -159,6 +172,12 @@ def test_transfer_report_counts_and_reproducibility(tmp_path):
     assert len(report.two_copy_ns) == 2
     ratio = (report.median_two_ns - report.median_zero_ns) / report.median_two_ns
     assert report.speedup_percent == pytest.approx(100.0 * ratio)
+    parsed = json.loads(report.to_json().decode("utf-8"))
+    assert parsed == report.to_mapping()
+    assert list(parsed) == [
+        "payload_bytes", "repetitions", "seed", "zero_copy_ns", "two_copy_ns",
+        "zero_copy_events", "two_copy_events", "median_zero_ns",
+        "median_two_ns", "speedup_percent"]
 
     # same seed, same payload: the trees and transfer results are identical
     again = bench_transfer(50_000, repetitions=2, seed=3,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import stat
 import subprocess
 import sys
 import uuid as uuidlib
@@ -10,7 +11,23 @@ import uuid as uuidlib
 import pytest
 
 from boxi import cli, errors, standins
+from boxi.archive import ArchiveEntry, encode_entries
 from boxi.cli import main
+from boxi.image import (
+    ARCH_ANY,
+    ARCH_X86_64,
+    DATA_JSON,
+    DATA_PARTITION,
+    FS_ARCHIVE_RO,
+    PART_METADATA,
+    PART_SYSTEM_PRIMARY,
+    NewPartition,
+    create_image,
+    iso_utc,
+    open_image,
+)
+from boxi.provenance import read_trail
+from boxi.runtime import load_workflow, run_workflow
 
 from .oracles import read_descriptors, read_header
 
@@ -65,6 +82,27 @@ def test_new_output_then_inspect(tmp_path, capsys):
     (part,) = doc["partitions"]
     assert part["name"] == "Outputs"
     assert part["parttype"] == 3
+
+
+def test_inspect_json_reports_the_on_disk_header(tmp_path, capsys):
+    image = tmp_path / "data.boxi"
+    (tmp_path / "Data").mkdir()
+    (tmp_path / "Data" / "f.txt").write_text("hello")
+    main([PACK, str(tmp_path / "Data"), str(image)])
+    capsys.readouterr()
+    assert main(["inspect", str(image), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    header = read_header(image)
+    assert uuidlib.UUID(doc["uuid"]).bytes == header["uuid_bytes"]
+    assert doc["file_size"] == header["file_size"]
+    assert doc["created"] == iso_utc(header["created"])
+    assert doc["modified"] == iso_utc(header["modified"])
+    (record,) = read_descriptors(image)
+    assert doc["partitions"] == [{
+        "id": record["id"], "datatype": record["datatype"],
+        "fstype": record["fstype"], "parttype": record["parttype"],
+        "arch": record["arch"], "name": record["name"],
+        "size": record["size"], "sha256": record["sha256"].hex()}]
 
 
 def test_inspect_text_lists_partitions(tmp_path, capsys):
@@ -169,6 +207,57 @@ def test_run_rejects_invalid_workflow_with_exit_2(tmp_path, capsys):
         {"id": "a", "role": "nope", "image": "a.boxi"}]}))
     assert main(["run", str(flow)]) == 2
     assert "boxi:" in capsys.readouterr().err
+
+
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
+
+
+@pytest.mark.parametrize("payload", [b'{"label": "\xff"}', DEEP_JSON],
+                         ids=["not-utf8", "nested-200000-deep"])
+def test_run_rejects_a_hostile_workflow_file_with_exit_2(tmp_path, payload, capsys):
+    flow = tmp_path / "bad.json"
+    flow.write_bytes(payload)
+    with pytest.raises(errors.InvalidWorkflowSpec):
+        load_workflow(flow)
+    assert main(["run", str(flow)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
+def test_build_rejects_a_recipe_that_is_not_utf8_at_its_line(tmp_path, capsys):
+    recipe = tmp_path / "bad.recipe"
+    recipe.write_bytes(b"[base]\nfrom = a\n[runscript]\npath = /r\xff.py\n")
+    assert main(["build", str(recipe), str(tmp_path / "app.boxi")]) == 2
+    assert "line 4: recipe is not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "app.boxi").exists()
+
+
+def test_run_rejects_an_app_manifest_that_is_not_utf8(workbench, capsys):
+    flow = identity_workflow(workbench)
+    tree = encode_entries([
+        ArchiveEntry(".manifest", stat.S_IFREG | 0o644, b"base=\xff\nrunscript=run.py\n"),
+        ArchiveEntry("run.py", stat.S_IFREG | 0o755, standins.IDENTITY.encode()),
+    ])
+    (workbench.root / "app.boxi").unlink()
+    create_image("app", workbench.root / "app.boxi", [NewPartition(
+        tree, datatype=DATA_PARTITION, fstype=FS_ARCHIVE_RO,
+        parttype=PART_SYSTEM_PRIMARY, arch=ARCH_X86_64, name="system")])
+    with pytest.raises(errors.RecipeParseError):
+        run_workflow(load_workflow(flow))
+    assert main(["run", flow]) == 2
+    assert "line 1: .manifest is not UTF-8" in capsys.readouterr().err
+
+
+def test_trail_rejects_a_deeply_nested_payload_with_exit_4(tmp_path, capsys):
+    image = tmp_path / "out.boxi"
+    main(["new-output", "Outputs", str(image)])
+    with open_image(image) as handle:
+        handle.add_partition(DEEP_JSON, datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
+                             parttype=PART_METADATA, arch=ARCH_ANY, name="metadata")
+        with pytest.raises(errors.MalformedTrail):
+            read_trail(handle)
+    capsys.readouterr()
+    assert main(["trail", str(image)]) == 4
+    assert "metadata payload is not JSON" in capsys.readouterr().err
 
 
 def test_trail_table_output(workbench, capsys):

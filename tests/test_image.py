@@ -219,17 +219,6 @@ def test_find_filters_by_type(tmp_path):
     assert [p.name for p in img.find(parttype=PART_DATA, datatype=DATA_JSON)] == []
 
 
-def test_describe_reports_header_fields(tmp_path):
-    img = make_image(tmp_path)
-    img.add_partition(b"abc", name="p", **DATA_CODES)
-    desc = img.describe()
-    assert desc.name == "img"
-    assert desc.uuid == str(img.uuid)
-    assert desc.format_version == 1
-    assert desc.file_size == img.path.stat().st_size
-    assert len(desc.partitions) == 1
-
-
 def test_delete_then_close_reclaims_the_hole(tmp_path):
     img = make_image(tmp_path)
     img.add_partition(b"A" * 1000, name="gone", **DATA_CODES)
@@ -406,8 +395,6 @@ def test_closed_handle_refuses_operations(tmp_path):
     img.close()  # idempotent
     with pytest.raises(IoError):
         img.add_partition(b"", name="x", **DATA_CODES)
-    with pytest.raises(IoError):
-        img.describe()
 
 
 def test_context_manager_closes(tmp_path):

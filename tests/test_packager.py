@@ -33,6 +33,7 @@ from boxi.packager import (
     pack_data_dir,
     pack_empty_output,
     parse_recipe,
+    utf8_text,
 )
 
 from .oracles import assert_same_tree, read_descriptors
@@ -158,6 +159,17 @@ def test_manifest_hash_tracks_content():
 def test_manifest_from_text_rejects_malformed_input(text):
     with pytest.raises(RecipeParseError):
         SoftwareManifest.from_text(text)
+
+
+@pytest.mark.parametrize("raw, line", [
+    (b"\xff", 1),
+    (b"[base]\nfrom = \xff", 2),
+    (b"a\r\nb\rc\x0bd\n\xfe", 5),   # every line break the parsers split on
+])
+def test_text_that_is_not_utf8_fails_at_its_line(raw, line):
+    with pytest.raises(RecipeParseError) as info:
+        utf8_text(raw, "recipe")
+    assert info.value.line == line
 
 
 @pytest.mark.parametrize("manifest", [

@@ -393,6 +393,47 @@ os.rmdir("Outputs")
         run_workflow(spec, mode)
 
 
+TAMPERER = """#!/usr/bin/env python3
+from pathlib import Path
+seen = Path("Inputs/a.txt").read_text()
+Path("Outputs/seen.txt").write_text(seen)
+Path("Inputs/a.txt").write_text("tampered")
+"""
+
+
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
+def test_writing_a_readable_mount_is_a_sandbox_error(workbench, mode, capsys):
+    # Two apps read the same input and then overwrite it. In zero-copy the
+    # second would see the first one's write, so neither mode lets it pass.
+    workbench.input_image({"a.txt": b"original"})
+    for index in ("1", "2"):
+        workbench.app_image(TAMPERER, name=f"app{index}")
+        workbench.output_image(name=f"out{index}")
+    flow = workbench.root / "workflow.json"
+    flow.write_text(json.dumps(_doc(
+        components=[
+            {"id": "in", "role": "input", "image": "input.boxi"},
+            {"id": "app1", "role": "application", "image": "app1.boxi"},
+            {"id": "app2", "role": "application", "image": "app2.boxi"},
+            {"id": "out1", "role": "output", "image": "out1.boxi"},
+            {"id": "out2", "role": "output", "image": "out2.boxi"},
+        ],
+        bindings=[
+            {"source": "in:/", "target": "app1:/Inputs"},
+            {"source": "out1:/Outputs", "target": "app1:/Outputs"},
+            {"source": "in:/", "target": "app2:/Inputs"},
+            {"source": "out2:/Outputs", "target": "app2:/Outputs"},
+        ],
+        invocations=[{"app": "app1", "argv": []}, {"app": "app2", "argv": []}],
+    )))
+    images = {path: path.read_bytes() for path in workbench.root.glob("*.boxi")}
+    with pytest.raises(SandboxError, match="'app1' wrote into its readable mount /Inputs"):
+        run_workflow(load_workflow(flow), mode)
+    assert main(["run", "--mode", mode, str(flow)]) == 3
+    assert "wrote into its readable mount /Inputs" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in images} == images
+
+
 def test_writable_views_start_empty(workbench, tmp_path):
     # The app writes a listing of Outputs before touching it; any leftover
     # content in the view would show up there.
@@ -666,6 +707,13 @@ def test_relative_sandbox_root_runs(workbench, tmp_path, monkeypatch, mode, via_
 def test_report_mapping_shape(workbench):
     report = run_workflow(workbench.identity_spec(), ZERO_COPY)
     mapping = report.to_mapping()
+    assert list(mapping) == ["label", "mode", "invocations", "copy_events",
+                             "outputs_written", "bindings_used"]
+    assert [list(rec) for rec in mapping["invocations"]] == [
+        ["component_id", "argv", "started_ns", "finished_ns", "exit_status",
+         "stderr_tail"]]
+    assert [list(ow) for ow in mapping["outputs_written"]] == [
+        ["component_id", "partition_ids"]]
     assert mapping["label"] == "identity"
     assert mapping["mode"] == ZERO_COPY
     assert mapping["copy_events"] == 2
