@@ -21,6 +21,11 @@ Each entry:
     content size  file bytes (directories always store size 0)
 
 The root directory itself is not an entry; only its contents are.
+
+decode and extract_dir share one validating walk over a memoryview of the
+blob, which checks every rule above for every entry before either returns
+an entry or writes a file. decode copies each file's content into bytes;
+extract_dir writes the content views straight to disk.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Collection
 
 from .errors import MalformedArchive, UnsupportedEntry
 
@@ -135,24 +141,29 @@ def encode_dir(root: Path | str) -> bytes:
     return encode_entries(scan_dir(root))
 
 
-def decode(blob: bytes) -> list[ArchiveEntry]:
-    """Parse a blob back into entries, verifying every encoding rule."""
-    if len(blob) < _PREAMBLE.size:
+def _walk(blob: bytes) -> list[tuple[str, int, memoryview | None]]:
+    """Path, mode and content of every entry, checking every encoding rule.
+
+    The content is a view into blob, or None for a directory. Nothing is
+    returned unless the whole blob is well formed.
+    """
+    data = memoryview(blob)
+    if len(data) < _PREAMBLE.size:
         raise MalformedArchive("blob shorter than the preamble")
-    magic, count = _PREAMBLE.unpack_from(blob, 0)
+    magic, count = _PREAMBLE.unpack_from(data, 0)
     if magic != MAGIC:
         raise MalformedArchive("bad archive magic")
     pos = _PREAMBLE.size
-    entries: list[ArchiveEntry] = []
+    entries: list[tuple[str, int, memoryview | None]] = []
     prev_raw: bytes | None = None
     for index in range(count):
-        if pos + _PATH_LEN.size > len(blob):
+        if pos + _PATH_LEN.size > len(data):
             raise MalformedArchive(f"entry {index}: truncated path length")
-        (path_len,) = _PATH_LEN.unpack_from(blob, pos)
+        (path_len,) = _PATH_LEN.unpack_from(data, pos)
         pos += _PATH_LEN.size
-        if pos + path_len > len(blob):
+        if pos + path_len > len(data):
             raise MalformedArchive(f"entry {index}: truncated path")
-        raw = blob[pos:pos + path_len]
+        raw = bytes(data[pos:pos + path_len])
         pos += path_len
         try:
             path = raw.decode("utf-8")
@@ -162,24 +173,54 @@ def decode(blob: bytes) -> list[ArchiveEntry]:
         if prev_raw is not None and raw <= prev_raw:
             raise MalformedArchive(f"entry {index}: paths out of order")
         prev_raw = raw
-        if pos + _ENTRY_HEAD.size > len(blob):
+        if pos + _ENTRY_HEAD.size > len(data):
             raise MalformedArchive(f"entry {index}: truncated header")
-        mode, size = _ENTRY_HEAD.unpack_from(blob, pos)
+        mode, size = _ENTRY_HEAD.unpack_from(data, pos)
         pos += _ENTRY_HEAD.size
         if stat.S_ISDIR(mode):
             if size != 0:
                 raise MalformedArchive(f"entry {index}: directory with nonzero size")
-            entries.append(ArchiveEntry(path, mode, None))
+            entries.append((path, mode, None))
             continue
         if not stat.S_ISREG(mode):
             raise MalformedArchive(f"entry {index}: unsupported mode {mode:#o}")
-        if pos + size > len(blob):
+        if pos + size > len(data):
             raise MalformedArchive(f"entry {index}: truncated content")
-        entries.append(ArchiveEntry(path, mode, blob[pos:pos + size]))
+        entries.append((path, mode, data[pos:pos + size]))
         pos += size
-    if pos != len(blob):
-        raise MalformedArchive(f"{len(blob) - pos} trailing bytes after last entry")
+    if pos != len(data):
+        raise MalformedArchive(f"{len(data) - pos} trailing bytes after last entry")
     return entries
+
+
+def decode(blob: bytes, *, omit: Collection[str] = ()) -> list[ArchiveEntry]:
+    """Parse a blob back into entries, verifying every encoding rule.
+
+    Entries below any path in omit ("" is the root) are verified like every
+    other entry but left out, so their content is never copied.
+    """
+    below = tuple(f"{inner}/" if inner else "" for inner in omit)
+    return [ArchiveEntry(path, mode, None if content is None else bytes(content))
+            for path, mode, content in _walk(blob)
+            if not path.startswith(below)]
+
+
+def _write_tree(entries: list[tuple[str, int, bytes | memoryview | None]],
+                dest: Path | str) -> None:
+    dest = Path(dest)
+    dest.mkdir(parents=True, exist_ok=True)
+    directories: list[tuple[str, int]] = []
+    for path, mode, content in entries:
+        target = dest / path
+        if stat.S_ISDIR(mode):
+            target.mkdir(parents=True, exist_ok=True)
+            directories.append((path, mode))
+        else:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(content or b"")
+            target.chmod(stat.S_IMODE(mode))
+    for path, mode in sorted(directories, key=lambda d: d[0].count("/"), reverse=True):
+        (dest / path).chmod(stat.S_IMODE(mode))
 
 
 def extract_entries(entries: list[ArchiveEntry], dest: Path | str) -> None:
@@ -189,25 +230,16 @@ def extract_entries(entries: list[ArchiveEntry], dest: Path | str) -> None:
     carries no explicit entry for them. Directory modes are applied last,
     deepest first, so a read-only directory can still receive its children.
     """
-    dest = Path(dest)
-    dest.mkdir(parents=True, exist_ok=True)
-    directories: list[ArchiveEntry] = []
-    for entry in entries:
-        target = dest / entry.path
-        if entry.is_dir:
-            target.mkdir(parents=True, exist_ok=True)
-            directories.append(entry)
-        else:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(entry.content or b"")
-            target.chmod(stat.S_IMODE(entry.mode))
-    for entry in sorted(directories, key=lambda e: e.path.count("/"), reverse=True):
-        (dest / entry.path).chmod(stat.S_IMODE(entry.mode))
+    _write_tree([(e.path, e.mode, e.content) for e in entries], dest)
 
 
 def extract_dir(blob: bytes, dest: Path | str) -> None:
-    """Decode a blob and materialize it under dest."""
-    extract_entries(decode(blob), dest)
+    """Materialize a blob under dest, as extract_entries does.
+
+    The whole blob is checked before anything is written, and each file is
+    written straight from the blob, without a copy.
+    """
+    _write_tree(_walk(blob), dest)
 
 
 def content_bytes(entries: list[ArchiveEntry]) -> int:

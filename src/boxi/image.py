@@ -29,6 +29,11 @@ Descriptor, 160 bytes each, one per partition:
     100     32    SHA-256 of the payload bytes
     132     28    reserved, zero
 
+Opening an image reads only the header and the descriptor table, which it
+finds at the table offset; the extents are checked against the file size.
+A payload is read, and its checksum verified, only when it is dumped or
+carried forward by a change.
+
 An image file is written whole or not at all. Creating an image writes
 header, payloads and table to the new file in one pass. Every later change
 (add, delete, update) verifies the payloads it keeps, writes the whole image
@@ -257,31 +262,40 @@ class BoxImage:
 
     @classmethod
     def open(cls, path: Path | str) -> "BoxImage":
-        """Open an existing image, validating header and table structure."""
+        """Open an existing image, validating header and table structure.
+
+        Only the header and the descriptor table are read; payloads are
+        read, and their checksums verified, by dump_partition.
+        """
         path = Path(path)
         try:
-            data = path.read_bytes()
+            with open(path, "rb") as fh:
+                file_size = os.fstat(fh.fileno()).st_size
+                header = fh.read(HEADER_SIZE)
+                if len(header) < len(MAGIC):
+                    raise TruncatedImage(f"{path}: shorter than the magic")
+                if header[: len(MAGIC)] != MAGIC:
+                    raise NotABoxImage(f"{path}: bad magic {header[:4]!r}")
+                if len(header) < HEADER_SIZE:
+                    raise TruncatedImage(f"{path}: header cut short")
+                (_, version, raw_uuid, created, modified, count, table_offset,
+                 payload_offset) = _HEADER.unpack(header)
+                if version != FORMAT_VERSION:
+                    raise NotABoxImage(f"{path}: unsupported format version {version}")
+                if payload_offset != HEADER_SIZE or table_offset < HEADER_SIZE:
+                    raise NotABoxImage(f"{path}: implausible area offsets")
+                if table_offset + count * DESCRIPTOR_SIZE > file_size:
+                    raise TruncatedImage(f"{path}: descriptor table runs past the end")
+                fh.seek(table_offset)
+                table = fh.read(count * DESCRIPTOR_SIZE)
         except OSError as exc:
             raise IoError(f"cannot read image at {path}: {exc}") from exc
-        if len(data) < len(MAGIC):
-            raise TruncatedImage(f"{path}: shorter than the magic")
-        if data[: len(MAGIC)] != MAGIC:
-            raise NotABoxImage(f"{path}: bad magic {data[:4]!r}")
-        if len(data) < HEADER_SIZE:
-            raise TruncatedImage(f"{path}: header cut short")
-        (_, version, raw_uuid, created, modified, count, table_offset,
-         payload_offset) = _HEADER.unpack_from(data, 0)
-        if version != FORMAT_VERSION:
-            raise NotABoxImage(f"{path}: unsupported format version {version}")
-        if payload_offset != HEADER_SIZE or table_offset < HEADER_SIZE:
-            raise NotABoxImage(f"{path}: implausible area offsets")
-        table_end = table_offset + count * DESCRIPTOR_SIZE
-        if table_end > len(data):
-            raise TruncatedImage(f"{path}: descriptor table runs past the end")
+        if len(table) != count * DESCRIPTOR_SIZE:
+            raise TruncatedImage(f"{path}: descriptor table cut short")
 
         partitions: list[PartitionDescriptor] = []
         for index in range(count):
-            record = _DESCRIPTOR.unpack_from(data, table_offset + index * DESCRIPTOR_SIZE)
+            record = _DESCRIPTOR.unpack_from(table, index * DESCRIPTOR_SIZE)
             pid, datatype, fstype, parttype, arch, raw_name, offset, size, digest = record
             try:
                 name = raw_name.rstrip(b"\x00").decode("utf-8")
@@ -292,7 +306,7 @@ class BoxImage:
             except UnknownCode as exc:
                 raise NotABoxImage(f"{path}: descriptor {index}: {exc}") from exc
             if offset < HEADER_SIZE or offset + size > table_offset:
-                if offset + size > len(data):
+                if offset + size > file_size:
                     raise TruncatedImage(f"{path}: partition {pid} extends past the end")
                 raise NotABoxImage(f"{path}: partition {pid} extent outside payload area")
             partitions.append(PartitionDescriptor(

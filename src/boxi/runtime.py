@@ -587,7 +587,10 @@ def _run_plan(plan: MountPlan, handles: dict[str, BoxImage],
         written: dict[str, list[int]] = {}
         for (path, partition_id), steps in repacks.items():
             handle = image(path)
-            entries = archive.decode(handle.dump_partition(partition_id))
+            # The subtrees being replaced are verified but never copied;
+            # each inner path itself is kept, since its mode carries over.
+            entries = archive.decode(handle.dump_partition(partition_id),
+                                     omit=[step.inner for step in steps])
             for step in steps:
                 if not (run_dir / step.src).is_dir():
                     raise SandboxError(f"{step.component}: {step.src} is gone before repack")

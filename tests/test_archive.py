@@ -237,6 +237,36 @@ def test_decode_rejects_non_utf8_path():
         decode(blob)
 
 
+_SOUND_FIRST = [("a.txt", FILE, b"one"), ("b", DIR, b""), ("b/c.txt", FILE, b"two")]
+_BAD_LAST = {
+    "truncated-content": blob_for(*_SOUND_FIRST, ("d.txt", FILE, b"three"))[:-1],
+    "trailing-bytes": blob_for(*_SOUND_FIRST, ("d.txt", FILE, b"three")) + b"\x00",
+    "last-path-out-of-order": blob_for(*_SOUND_FIRST, ("aa.txt", FILE, b"three")),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_BAD_LAST))
+def test_extract_checks_the_whole_blob_before_writing(tmp_path, fault):
+    dest = tmp_path / "out"
+    with pytest.raises(MalformedArchive):
+        extract_dir(_BAD_LAST[fault], dest)
+    assert list(dest.rglob("*")) == []
+
+
+def test_decode_omits_only_what_lies_below_the_given_paths():
+    blob = blob_for(("a", DIR, b""), ("a/x.txt", FILE, b"x"), ("ab.txt", FILE, b"ab"),
+                    ("c", DIR, b""), ("c/d", DIR, b""), ("c/d/y.txt", FILE, b"y"))
+    assert [e.path for e in decode(blob, omit=["a", "c/d"])] == ["a", "ab.txt", "c", "c/d"]
+    assert decode(blob, omit=[""]) == []
+    assert decode(blob, omit=[]) == decode(blob)
+
+
+def test_decode_checks_the_entries_it_omits():
+    blob = blob_for(("a", DIR, b""), ("a/x", 0o020644, b""), ("b.txt", FILE, b"b"))
+    with pytest.raises(MalformedArchive):
+        decode(blob, omit=["a"])
+
+
 def test_content_bytes_counts_files_only():
     entries = [
         ArchiveEntry("d", DIR, None),

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import stat
 import subprocess
 import sys
 import uuid as uuidlib
+from pathlib import Path
 
 import pytest
 
@@ -366,6 +368,33 @@ def test_inspect_corrupt_file_exits_4(tmp_path, capsys):
     bogus.write_bytes(b"not an image at all")
     assert main(["inspect", str(bogus)]) == 4
     assert "boxi:" in capsys.readouterr().err
+
+
+_ENDLESS_INSPECT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+from boxi.cli import main
+from boxi.errors import NotABoxImage
+from boxi.image import open_image
+try:
+    open_image("/dev/zero")
+except NotABoxImage:
+    sys.exit(main(["inspect", "/dev/zero"]))
+sys.exit("open_image accepted /dev/zero")
+"""
+
+
+def test_inspect_of_an_endless_device_exits_4():
+    # /dev/zero never ends, so reading it whole would fill the memory; the
+    # child runs under an address-space limit, where that fails fast.
+    limit = 400 * 1024 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENDLESS_INSPECT.format(limit=limit)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 4, proc.stderr
+    assert "bad magic" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_dump_checksum_failure_exits_4(tmp_path, capsys):

@@ -308,10 +308,11 @@ class _WriteFaults:
             raise OSError(errno.ENOSPC, "injected write failure")
 
 
-class _FaultyFile:
-    def __init__(self, fh, faults):
+class _WrappedFile:
+    """A file object that forwards everything to the file it wraps."""
+
+    def __init__(self, fh):
         self._fh = fh
-        self._faults = faults
 
     def __enter__(self):
         return self
@@ -321,6 +322,12 @@ class _FaultyFile:
 
     def __getattr__(self, name):
         return getattr(self._fh, name)
+
+
+class _FaultyFile(_WrappedFile):
+    def __init__(self, fh, faults):
+        super().__init__(fh)
+        self._faults = faults
 
     def write(self, data):
         self._faults.count()
@@ -415,6 +422,44 @@ def test_flipped_payload_byte_fails_checksum(tmp_path):
         fh.write(bytes([byte[0] ^ 0x01]))
     with pytest.raises(CorruptPartition):
         img.dump_partition(pid)
+
+
+class _ReadCounter(_WrappedFile):
+    """A file the image module opened, counting the bytes read through it."""
+
+    def __init__(self, fh, counts):
+        super().__init__(fh)
+        self._counts = counts
+
+    def read(self, *args):
+        data = self._fh.read(*args)
+        self._counts.append(len(data))
+        return data
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_open_reads_only_the_header_and_the_table(tmp_path, monkeypatch, count):
+    payloads = [bytes([n]) * 50_000 for n in range(count)]
+    img = create_image("img", tmp_path / "img.boxi", [
+        NewPartition(payload, name=f"p{n}", **DATA_CODES)
+        for n, payload in enumerate(payloads)])
+    if count:
+        # Payload corruption is found by dump_partition, not by open.
+        with open(img.path, "r+b") as fh:
+            fh.seek(img.partitions[-1].payload_offset)
+            fh.write(b"\xff")
+    counts: list[int] = []
+    monkeypatch.setattr(image_mod, "open", lambda *args, **kwargs: _ReadCounter(
+        open(*args, **kwargs), counts), raising=False)
+    reopened = open_image(img.path)
+    monkeypatch.undo()
+    assert HEADER_SIZE <= sum(counts) <= HEADER_SIZE + count * DESCRIPTOR_SIZE
+    assert reopened.partitions == img.partitions
+    for part, payload in zip(reopened.partitions[:-1], payloads):
+        assert reopened.dump_partition(part.partition_id) == payload
+    if count:
+        with pytest.raises(CorruptPartition):
+            reopened.dump_partition(reopened.partitions[-1].partition_id)
 
 
 def test_open_missing_file(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import stat
+import struct
 
 import pytest
 
@@ -16,6 +17,7 @@ from boxi.errors import (
     InvalidName,
     InvalidWorkflowSpec,
     IoError,
+    MalformedArchive,
     NoRunscript,
     SandboxError,
     UnknownComponent,
@@ -784,3 +786,39 @@ def test_transfer_rejects_traversal_in_destination_path(workbench):
     src, dst = transfer_fixture(workbench)
     with pytest.raises(InvalidName):
         zero_copy_transfer(src, 1, dst, "../up")
+
+
+def _with_fifo_mode(blob: bytes, path: str) -> bytes:
+    """blob with the mode of the entry at path set to a FIFO's.
+
+    The result is malformed, so it can only be stored as raw bytes.
+    """
+    data = bytearray(blob)
+    mode_at = data.index(path.encode("utf-8")) + len(path.encode("utf-8"))
+    struct.pack_into("<I", data, mode_at, stat.S_IFIFO | 0o644)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("how", ["transfer", "run"])
+def test_the_replaced_subtree_is_still_checked_before_a_repack(workbench, how, capsys):
+    # A repack copies nothing of the subtree it replaces, but a malformed
+    # entry there must still fail it before the image is written.
+    flow = subdirectory_workflow(workbench, "in:/")
+    output = workbench.root / "output.boxi"
+    with open_image(output) as image:
+        image.update_partition(1, _with_fifo_mode(encode_entries([
+            ArchiveEntry("Keep", stat.S_IFDIR | 0o755, None),
+            ArchiveEntry("Keep/k.txt", stat.S_IFREG | 0o644, b"kept"),
+            ArchiveEntry("Outputs", stat.S_IFDIR | 0o755, None),
+            ArchiveEntry("Outputs/old.txt", stat.S_IFREG | 0o644, b"old"),
+        ]), "Outputs/old.txt"))
+    before = output.read_bytes()
+    if how == "transfer":
+        with pytest.raises(MalformedArchive, match="unsupported mode"):
+            zero_copy_transfer(workbench.root / "input.boxi", 1, output, "Outputs")
+    else:
+        with pytest.raises(MalformedArchive, match="unsupported mode"):
+            run_workflow(load_workflow(flow))
+        assert main(["run", str(flow)]) == 4
+        assert "unsupported mode" in capsys.readouterr().err
+    assert output.read_bytes() == before
