@@ -18,13 +18,7 @@ from .bench import (
     make_synthetic_tree,
 )
 from .errors import BoxiError
-from .image import (
-    BoxImage,
-    NewPartition,
-    PartitionDescriptor,
-    create_image,
-    open_image,
-)
+from .image import BoxImage, NewPartition, PartitionDescriptor
 from .packager import (
     Recipe,
     SoftwareManifest,
@@ -38,7 +32,6 @@ from .provenance import (
     RecordTrail,
     assemble_record_trail,
     attach_metadata,
-    attach_metadata_isolated,
     capture_static_metadata,
     read_trail,
 )
@@ -67,12 +60,10 @@ __all__ = [
     "make_synthetic_tree",
     "BoxiError",
     "BoxImage", "NewPartition", "PartitionDescriptor",
-    "create_image", "open_image",
     "Recipe", "SoftwareManifest", "build_app_image", "pack_data_dir",
     "pack_empty_output", "parse_recipe",
     "ComponentRecord", "RecordTrail", "assemble_record_trail",
-    "attach_metadata", "attach_metadata_isolated", "capture_static_metadata",
-    "read_trail",
+    "attach_metadata", "capture_static_metadata", "read_trail",
     "Binding", "Component", "ExecutionReport", "Invocation", "MountPlan",
     "WorkflowSpec", "load_workflow", "plan_mounts", "run_workflow",
     "two_copy_transfer", "validate_spec", "workflow_from_mapping",

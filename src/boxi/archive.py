@@ -205,41 +205,30 @@ def decode(blob: bytes, *, omit: Collection[str] = ()) -> list[ArchiveEntry]:
             if not path.startswith(below)]
 
 
-def _write_tree(entries: list[tuple[str, int, bytes | memoryview | None]],
-                dest: Path | str) -> None:
+def extract_dir(blob: bytes, dest: Path | str) -> None:
+    """Materialize a blob under dest, creating dest if needed.
+
+    The whole blob is checked before anything is written, and each file is
+    written straight from the blob, without a copy. Parent directories
+    implied by a path are created even if the archive carries no entry for
+    them. Directory modes are applied last, deepest first, so a read-only
+    directory can still receive its children.
+    """
+    entries = _walk(blob)
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
     directories: list[tuple[str, int]] = []
     for path, mode, content in entries:
         target = dest / path
-        if stat.S_ISDIR(mode):
+        if content is None:
             target.mkdir(parents=True, exist_ok=True)
             directories.append((path, mode))
         else:
             target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(content or b"")
+            target.write_bytes(content)
             target.chmod(stat.S_IMODE(mode))
     for path, mode in sorted(directories, key=lambda d: d[0].count("/"), reverse=True):
         (dest / path).chmod(stat.S_IMODE(mode))
-
-
-def extract_entries(entries: list[ArchiveEntry], dest: Path | str) -> None:
-    """Write entries into dest, creating it if needed.
-
-    Parent directories implied by a path are created even if the archive
-    carries no explicit entry for them. Directory modes are applied last,
-    deepest first, so a read-only directory can still receive its children.
-    """
-    _write_tree([(e.path, e.mode, e.content) for e in entries], dest)
-
-
-def extract_dir(blob: bytes, dest: Path | str) -> None:
-    """Materialize a blob under dest, as extract_entries does.
-
-    The whole blob is checked before anything is written, and each file is
-    written straight from the blob, without a copy.
-    """
-    _write_tree(_walk(blob), dest)
 
 
 def content_bytes(entries: list[ArchiveEntry]) -> int:

@@ -33,7 +33,7 @@ from .image import (
     DESCRIPTOR_SIZE,
     HEADER_SIZE,
     PART_DATA,
-    open_image,
+    BoxImage,
 )
 from .packager import pack_data_dir, pack_empty_output
 from .runtime import (
@@ -168,7 +168,7 @@ def bench_space(spec: WorkflowSpec) -> SpaceOverheadReport:
         if not path.is_file():
             raise IoError(f"image missing for {component.id!r}: {path}")
         original = 0
-        with open_image(path) as image:
+        with BoxImage.open(path) as image:
             for part in image.partitions:
                 payload = image.dump_partition(part.partition_id)
                 if part.datatype == DATA_PARTITION:
@@ -244,5 +244,5 @@ def bench_transfer(payload_bytes: int,
 
 
 def _single_data_partition(path: Path) -> int:
-    with open_image(path) as image:
+    with BoxImage.open(path) as image:
         return image.find(parttype=PART_DATA)[0].partition_id

@@ -20,14 +20,14 @@ from .image import (
     DATATYPE_NAMES,
     FORMAT_VERSION,
     FSTYPE_NAMES,
-    PART_METADATA,
     PARTTYPE_NAMES,
+    BoxImage,
     iso_utc,
-    open_image,
 )
 from .packager import (Recipe, build_app_image, pack_data_dir, pack_empty_output,
                        parse_recipe, utf8_text)
-from .provenance import assemble_record_trail, attach_metadata, read_trail
+from .provenance import (RecordTrail, _trail_payload, assemble_record_trail,
+                         attach_metadata)
 from .runtime import MODES, ZERO_COPY, load_workflow, run_workflow, workflow_from_mapping
 from .standins import SLEEPER, write_script
 
@@ -174,7 +174,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not args.no_trail:
         for write in report.outputs_written:
             trail = assemble_record_trail(spec, report, write.component_id)
-            with open_image(spec.component(write.component_id).image) as image:
+            with BoxImage.open(spec.component(write.component_id).image) as image:
                 partition_id = attach_metadata(image, trail)
             attached.append({"component_id": write.component_id,
                              "partition_id": partition_id})
@@ -201,7 +201,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 # --- image surgery -------------------------------------------------------------------
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    with open_image(args.image) as image:
+    with BoxImage.open(args.image) as image:
         try:
             file_size = image.path.stat().st_size
         except OSError as exc:
@@ -244,7 +244,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:
-    with open_image(args.image) as image:
+    with BoxImage.open(args.image) as image:
         payload = image.dump_partition(args.id)
     if args.dest == "-":
         sys.stdout.buffer.write(payload)
@@ -263,7 +263,7 @@ def _cmd_add(args: argparse.Namespace) -> int:
         payload = payload_path.read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read payload {payload_path}: {exc}") from exc
-    with open_image(args.image) as image:
+    with BoxImage.open(args.image) as image:
         partition_id = image.add_partition(
             payload,
             datatype=args.datatype,
@@ -277,19 +277,19 @@ def _cmd_add(args: argparse.Namespace) -> int:
 
 
 def _cmd_del(args: argparse.Namespace) -> int:
-    with open_image(args.image) as image:
+    with BoxImage.open(args.image) as image:
         image.delete_partition(args.id)
     return 0
 
 
 def _cmd_trail(args: argparse.Namespace) -> int:
-    with open_image(args.image) as image:
-        trail = read_trail(image)
-        if args.json:
-            found = image.find(parttype=PART_METADATA)
-            sys.stdout.buffer.write(image.dump_partition(found[0].partition_id))
-            sys.stdout.buffer.flush()
-            return 0
+    with BoxImage.open(args.image) as image:
+        payload = _trail_payload(image)
+    trail = RecordTrail.from_json(payload)
+    if args.json:
+        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.flush()
+        return 0
     rows = [(rec.role, rec.name, rec.uuid, rec.created, rec.modified)
             for rec in trail.record_trail]
     headers = ("role", "name", "uuid", "created", "modified")

@@ -31,6 +31,7 @@ Descriptor, 160 bytes each, one per partition:
 
 Opening an image reads only the header and the descriptor table, which it
 finds at the table offset; the extents are checked against the file size.
+A FIFO is rejected before anything is read from it.
 A payload is read, and its checksum verified, only when it is dumped or
 carried forward by a change.
 
@@ -39,13 +40,15 @@ header, payloads and table to the new file in one pass. Every later change
 (add, delete, update) verifies the payloads it keeps, writes the whole image
 with its payloads back to back to a temp file beside it, fsyncs that file
 and renames it over the old one, so a crash leaves either the old image or
-the new one.
+the new one. The rewritten file keeps the permission bits of the one it
+replaces.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import stat
 import struct
 import tempfile
 import time
@@ -204,6 +207,11 @@ def _new_descriptor(existing: list[PartitionDescriptor], image_name: str,
         0, len(new.payload), hashlib.sha256(new.payload).digest())
 
 
+def _open_nonblocking(path: str, flags: int) -> int:
+    """Open without waiting for a FIFO's writer, so that open can reject it."""
+    return os.open(path, flags | os.O_NONBLOCK)
+
+
 def _laid_out(partitions: list[PartitionDescriptor]) -> list[PartitionDescriptor]:
     """Place the payloads back to back after the header."""
     placed: list[PartitionDescriptor] = []
@@ -269,8 +277,11 @@ class BoxImage:
         """
         path = Path(path)
         try:
-            with open(path, "rb") as fh:
-                file_size = os.fstat(fh.fileno()).st_size
+            with open(path, "rb", opener=_open_nonblocking) as fh:
+                info = os.fstat(fh.fileno())
+                if stat.S_ISFIFO(info.st_mode):
+                    raise NotABoxImage(f"{path}: a FIFO, not an image file")
+                file_size = info.st_size
                 header = fh.read(HEADER_SIZE)
                 if len(header) < len(MAGIC):
                     raise TruncatedImage(f"{path}: shorter than the magic")
@@ -341,16 +352,8 @@ class BoxImage:
                 return part
         raise NoSuchPartition(f"{self.name}: no partition {partition_id}")
 
-    def find(self, *, parttype: int | None = None,
-             datatype: int | None = None) -> list[PartitionDescriptor]:
-        found = []
-        for part in self._partitions:
-            if parttype is not None and part.parttype != parttype:
-                continue
-            if datatype is not None and part.datatype != datatype:
-                continue
-            found.append(part)
-        return found
+    def find(self, *, parttype: int) -> list[PartitionDescriptor]:
+        return [part for part in self._partitions if part.parttype == parttype]
 
     # --- partition operations ----------------------------------------------
 
@@ -436,8 +439,9 @@ class BoxImage:
         changed maps ids to new payloads; every other payload is read back
         and verified first, so a corrupt partition is never copied forward.
         The image is written to a temp file beside it, fsynced, and renamed
-        over it; a symlinked path is followed, so the link stays a link. The
-        handle takes the new state only once the rename is done.
+        over it with the old file's permission bits; a symlinked path is
+        followed, so the link stays a link. The handle takes the new state
+        only once the rename is done.
         """
         payloads = {part.partition_id: changed[part.partition_id]
                     if part.partition_id in changed
@@ -447,10 +451,12 @@ class BoxImage:
         modified_at = max(int(time.time()), self.modified_at)
         target = self.path.resolve()
         try:
+            mode = stat.S_IMODE(os.stat(target).st_mode)
             fd, temp_name = tempfile.mkstemp(dir=target.parent,
                                              prefix=f".{target.name}.")
             try:
                 with open(fd, "wb") as fh:
+                    os.fchmod(fh.fileno(), mode)
                     self._write(fh, modified_at, placed, payloads)
                     fh.flush()
                     os.fsync(fh.fileno())
@@ -465,14 +471,3 @@ class BoxImage:
             raise IoError(f"cannot rewrite {self.path}: {exc}") from exc
         self._partitions = placed
         self.modified_at = modified_at
-
-
-def create_image(name: str, path: Path | str | None = None,
-                 partitions: Sequence[NewPartition] = ()) -> BoxImage:
-    """Create a new image file holding the given partitions; see BoxImage.create."""
-    return BoxImage.create(name, path, partitions)
-
-
-def open_image(path: Path | str) -> BoxImage:
-    """Open and validate an existing image file; see BoxImage.open."""
-    return BoxImage.open(path)

@@ -50,7 +50,6 @@ from .image import (
     PART_SYSTEM_PRIMARY,
     BoxImage,
     NewPartition,
-    create_image,
 )
 
 MANIFEST_PATH = ".manifest"
@@ -276,7 +275,7 @@ def pack_data_dir(dir_path: Path | str, image_name: str,
         payload = encode_dir(dir_path)
     except OSError as exc:
         raise IoError(f"cannot read {dir_path}: {exc}") from exc
-    return create_image(image_name, path, [NewPartition(
+    return BoxImage.create(image_name, path, [NewPartition(
         payload,
         datatype=DATA_PARTITION,
         fstype=FS_ARCHIVE_RW,
@@ -293,7 +292,7 @@ def pack_empty_output(dir_name: str, image_name: str,
     parts = inner.split("/")
     entries = [ArchiveEntry("/".join(parts[:depth]), stat.S_IFDIR | 0o755, None)
                for depth in range(1, len(parts) + 1)]
-    return create_image(image_name, path, [NewPartition(
+    return BoxImage.create(image_name, path, [NewPartition(
         encode_entries(entries),
         datatype=DATA_PARTITION,
         fstype=FS_ARCHIVE_RW,
@@ -338,7 +337,7 @@ def build_app_image(recipe: Recipe, image_name: str,
     )
     pairs.append((MANIFEST_PATH, stat.S_IFREG | 0o644, manifest.to_text().encode("utf-8")))
 
-    return create_image(image_name, path, [NewPartition(
+    return BoxImage.create(image_name, path, [NewPartition(
         encode_entries(_entries_with_parents(pairs)),
         datatype=DATA_PARTITION,
         fstype=FS_ARCHIVE_RO,

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import uuid as uuidlib
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .document import Document, canonical_json  # noqa: F401  (re-exported)
 from .errors import MalformedTrail, NoMetadataPartition, NotAnOutputOfRun
@@ -38,10 +37,7 @@ from .image import (
     FS_ARCHIVE_RO,
     PART_METADATA,
     BoxImage,
-    NewPartition,
-    create_image,
     iso_utc,
-    open_image,
 )
 from .runtime import (
     ROLE_APPLICATION,
@@ -96,9 +92,6 @@ class RecordTrail(Document):
     command: str
     executed_at: str
     exit_status: int
-
-    def to_canonical_json(self) -> bytes:
-        return self.to_json()
 
     @classmethod
     def from_mapping(cls, raw: object) -> "RecordTrail":
@@ -176,7 +169,7 @@ def assemble_record_trail(spec: WorkflowSpec, report: ExecutionReport,
                  if b.target in writer_apps and roles.get(b.source) == ROLE_INPUT}
 
     def record_for(component_id: str, role: str) -> ComponentRecord:
-        with open_image(spec.component(component_id).image) as image:
+        with BoxImage.open(spec.component(component_id).image) as image:
             return capture_static_metadata(image, role)
 
     def ordered(ids: set[str], role: str) -> list[ComponentRecord]:
@@ -214,7 +207,7 @@ def attach_metadata(image: BoxImage, trail: RecordTrail) -> int:
     Either way the image is rewritten whole and swapped in atomically.
     Returns the partition id holding the trail.
     """
-    payload = trail.to_canonical_json()
+    payload = trail.to_json()
     existing = image.find(parttype=PART_METADATA)
     if len(existing) == 1:
         pid = existing[0].partition_id
@@ -232,28 +225,16 @@ def attach_metadata(image: BoxImage, trail: RecordTrail) -> int:
     )
 
 
-def attach_metadata_isolated(trail: RecordTrail,
-                             path: Path | str | None = None) -> BoxImage:
-    """Store the trail alone in a fresh single-partition image.
-
-    The collocated form (attach_metadata) is the preferred one; this
-    stand-alone variant exists for comparison.
-    """
-    return create_image(f"{trail.output.name}-metadata", path, [NewPartition(
-        trail.to_canonical_json(),
-        datatype=DATA_JSON,
-        fstype=FS_ARCHIVE_RO,
-        parttype=PART_METADATA,
-        arch=ARCH_ANY,
-        name=METADATA_PARTITION_NAME,
-    )])
-
-
-def read_trail(image: BoxImage) -> RecordTrail:
-    """Parse the trail stored in an image's metadata partition."""
+def _trail_payload(image: BoxImage) -> bytes:
+    """The stored bytes of an image's single metadata partition, unparsed."""
     found = image.find(parttype=PART_METADATA)
     if not found:
         raise NoMetadataPartition(f"{image.name} holds no metadata partition")
     if len(found) > 1:
         raise MalformedTrail(f"{image.name} holds {len(found)} metadata partitions")
-    return RecordTrail.from_json(image.dump_partition(found[0].partition_id))
+    return image.dump_partition(found[0].partition_id)
+
+
+def read_trail(image: BoxImage) -> RecordTrail:
+    """Parse the trail stored in an image's metadata partition."""
+    return RecordTrail.from_json(_trail_payload(image))

@@ -19,8 +19,9 @@ only the bound subtree of its partition, so both modes produce identical
 output bytes. An application that writes into a readable mount fails the
 run with SandboxError in both modes, before anything is repacked: in
 zero-copy the next view would see the change. The direct transfers are
-plans of the same steps with no application. The sandbox root honours the
-BOXI_SANDBOX environment variable.
+plans of the same steps with no application. The run directory is created
+under the BOXI_SANDBOX environment variable's directory, or under the
+system temp directory when it is unset, and is always removed at the end.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from pathlib import Path
 
 from . import archive
 from .archive import ArchiveEntry
-from .document import plain
+from .document import Document
 from .errors import (
     BoxiError,
     ConflictingWrites,
@@ -51,7 +52,7 @@ from .errors import (
     UnknownComponent,
     WrongPartitionType,
 )
-from .image import BoxImage, PART_DATA, PART_SYSTEM_PRIMARY, open_image
+from .image import BoxImage, PART_DATA, PART_SYSTEM_PRIMARY
 from .packager import MANIFEST_PATH, SoftwareManifest, utf8_text
 
 ZERO_COPY = "zero-copy"
@@ -347,7 +348,7 @@ def plan_mounts(spec: WorkflowSpec, mode: str = ZERO_COPY) -> MountPlan:
     def backing(component_id: str) -> int:
         if component_id not in partition_ids:
             comp = spec.component(component_id)
-            with open_image(comp.image) as image:
+            with BoxImage.open(comp.image) as image:
                 partition_ids[component_id] = _backing_partition(image, comp.role)
         return partition_ids[component_id]
 
@@ -418,25 +419,17 @@ class OutputWrite:
 
 
 @dataclass
-class ExecutionReport:
+class ExecutionReport(Document):
     label: str
     mode: str
     invocations: list[InvocationRecord]
     copy_events: int
     outputs_written: list[OutputWrite]
     bindings_used: list[str]
-    sandbox_dir: str | None = None
-
-    def to_mapping(self) -> dict:
-        """The report as boxi run --json prints it; sandbox_dir is left out."""
-        mapping = plain(self)
-        del mapping["sandbox_dir"]
-        return mapping
 
 
-def _make_run_dir(sandbox_root: Path | str | None) -> Path:
-    base = Path(sandbox_root) if sandbox_root is not None else \
-        Path(os.environ.get(SANDBOX_ENV) or tempfile.gettempdir())
+def _make_run_dir() -> Path:
+    base = Path(os.environ.get(SANDBOX_ENV) or tempfile.gettempdir())
     # Absolute, because runscripts are executed by path with cwd set to the view.
     run_dir = base.absolute() / f"boxi-run-{uuidlib.uuid4().hex[:12]}"
     try:
@@ -525,9 +518,8 @@ def _execute(view: Path, app_id: str, argv: tuple[str, ...]) -> InvocationRecord
     )
 
 
-def _run_plan(plan: MountPlan, handles: dict[str, BoxImage],
-              sandbox_root: Path | str | None, keep_sandbox: bool) -> ExecutionReport:
-    """Run every step of a plan in a fresh run directory.
+def _run_plan(plan: MountPlan, handles: dict[str, BoxImage]) -> ExecutionReport:
+    """Run every step of a plan in a fresh run directory, removed at the end.
 
     Each image is opened at most once, through handles keyed by path, and
     closed at the end. Repack steps run last, all steps for one partition
@@ -536,11 +528,11 @@ def _run_plan(plan: MountPlan, handles: dict[str, BoxImage],
     SandboxError. Otherwise the report is returned even when applications
     exit nonzero; only infrastructure failures raise.
     """
-    run_dir = _make_run_dir(sandbox_root)
+    run_dir = _make_run_dir()
 
     def image(path: str) -> BoxImage:
         if path not in handles:
-            handles[path] = open_image(path)
+            handles[path] = BoxImage.open(path)
         return handles[path]
 
     records: list[InvocationRecord] = []
@@ -606,25 +598,21 @@ def _run_plan(plan: MountPlan, handles: dict[str, BoxImage],
             outputs_written=[OutputWrite(component_id, tuple(sorted(pids)))
                              for component_id, pids in written.items()],
             bindings_used=list(plan.bindings_used),
-            sandbox_dir=str(run_dir) if keep_sandbox else None,
         )
     finally:
         for handle in handles.values():
             handle.close()
-        if not keep_sandbox:
-            shutil.rmtree(run_dir, ignore_errors=True)
+        shutil.rmtree(run_dir, ignore_errors=True)
 
 
-def run_workflow(spec: WorkflowSpec, mode: str = ZERO_COPY, *,
-                 sandbox_root: Path | str | None = None,
-                 keep_sandbox: bool = False) -> ExecutionReport:
+def run_workflow(spec: WorkflowSpec, mode: str = ZERO_COPY) -> ExecutionReport:
     """Execute every invocation, repack written outputs, report what happened.
 
     The report is returned even when applications exit nonzero. Only
     infrastructure failures raise, and so does an application that changes
     a readable mount: SandboxError, before anything is repacked.
     """
-    return _run_plan(plan_mounts(spec, mode), {}, sandbox_root, keep_sandbox)
+    return _run_plan(plan_mounts(spec, mode), {})
 
 
 # --- direct transfers -----------------------------------------------------------
@@ -635,11 +623,11 @@ def _plan_transfer(mode: str, src_image: Path | str, src_partition: int,
     """Plan moving a data partition's tree under dst_inner_path of the
     destination's data partition; also return the two handles opened to
     check the partition types."""
-    src = open_image(src_image)
+    src = BoxImage.open(src_image)
     if src.descriptor(src_partition).parttype != PART_DATA:
         raise WrongPartitionType(
             f"{src.name}: partition {src_partition} is not a data partition")
-    dst = open_image(dst_image)
+    dst = BoxImage.open(dst_image)
     dst_pid = _backing_partition(dst, ROLE_OUTPUT)
     inner = _inner(dst_inner_path, "transfer destination", InvalidName)
     if mode == ZERO_COPY:
@@ -655,9 +643,7 @@ def _plan_transfer(mode: str, src_image: Path | str, src_partition: int,
 
 
 def zero_copy_transfer(src_image: Path | str, src_partition: int,
-                       dst_image: Path | str, dst_inner_path: str, *,
-                       sandbox_root: Path | str | None = None,
-                       keep_sandbox: bool = False) -> ExecutionReport:
+                       dst_image: Path | str, dst_inner_path: str) -> ExecutionReport:
     """Move a data partition's tree under dst_inner_path of the destination.
 
     The tree is materialized once, directly at the directory that is
@@ -665,13 +651,11 @@ def zero_copy_transfer(src_image: Path | str, src_partition: int,
     """
     plan, handles = _plan_transfer(ZERO_COPY, src_image, src_partition,
                                    dst_image, dst_inner_path)
-    return _run_plan(plan, handles, sandbox_root, keep_sandbox)
+    return _run_plan(plan, handles)
 
 
 def two_copy_transfer(src_image: Path | str, src_partition: int,
-                      dst_image: Path | str, dst_inner_path: str, *,
-                      sandbox_root: Path | str | None = None,
-                      keep_sandbox: bool = False) -> ExecutionReport:
+                      dst_image: Path | str, dst_inner_path: str) -> ExecutionReport:
     """Same result as zero_copy_transfer, staging through host directories.
 
     Stage, copy into a view, copy back out to staging, repack the
@@ -679,4 +663,4 @@ def two_copy_transfer(src_image: Path | str, src_partition: int,
     """
     plan, handles = _plan_transfer(TWO_COPY, src_image, src_partition,
                                    dst_image, dst_inner_path)
-    return _run_plan(plan, handles, sandbox_root, keep_sandbox)
+    return _run_plan(plan, handles)

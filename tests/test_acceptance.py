@@ -34,8 +34,7 @@ from boxi.image import (
     FS_ARCHIVE_RO,
     PART_DATA,
     PART_METADATA,
-    create_image,
-    open_image,
+    BoxImage,
 )
 from boxi.packager import Recipe, build_app_image, pack_data_dir, pack_empty_output
 from boxi.provenance import (
@@ -103,13 +102,13 @@ def _run_and_attach(flow: Path):
     assert all(rec.exit_status == 0 for rec in report.invocations)
     for current in report.outputs_written:
         trail = assemble_record_trail(spec, report, current.component_id)
-        with open_image(spec.component(current.component_id).image) as image:
+        with BoxImage.open(spec.component(current.component_id).image) as image:
             attach_metadata(image, trail)
     return spec, report
 
 
 def _stored_trail(image_path: Path) -> dict:
-    with open_image(image_path) as image:
+    with BoxImage.open(image_path) as image:
         return read_trail(image).to_mapping()
 
 
@@ -296,7 +295,7 @@ def test_trail_assembly_matches_reachability_oracle(tmp_path, capsys):
         pool = ["n0.boxi", "n1.boxi", "n2.boxi", "dup/n0.boxi", "dup/n1.boxi"]
         (tmp_path / "dup").mkdir()
         for relative in pool:
-            create_image(Path(relative).stem, tmp_path / relative).close()
+            BoxImage.create(Path(relative).stem, tmp_path / relative).close()
 
         rng = random.Random(0xB0C5)
         comparisons = 0
@@ -479,7 +478,7 @@ def test_image_identity_corruption_and_stability(tmp_path, capsys):
         mint = tmp_path / "mint.boxi"
         seen: set[bytes] = set()
         for _ in range(10_000):
-            create_image("mint", mint).close()
+            BoxImage.create("mint", mint).close()
             raw = read_header(mint)["uuid_bytes"]
             assert raw[6] >> 4 == 4          # version nibble
             assert raw[8] >> 6 == 0b10       # variant bits
@@ -488,7 +487,7 @@ def test_image_identity_corruption_and_stability(tmp_path, capsys):
 
         # timestamps: created is fixed, modified never moves backwards
         clock = tmp_path / "clock.boxi"
-        image = create_image("clock", clock)
+        image = BoxImage.create("clock", clock)
         assert image.created_at == image.modified_at
         stamps = [(image.created_at, image.modified_at)]
         pid = image.add_partition(b"x" * 16, datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
@@ -499,7 +498,7 @@ def test_image_identity_corruption_and_stability(tmp_path, capsys):
         image.delete_partition(pid)
         stamps.append((image.created_at, image.modified_at))
         image.close()
-        with open_image(clock) as reopened:
+        with BoxImage.open(clock) as reopened:
             stamps.append((reopened.created_at, reopened.modified_at))
         assert len({created for created, _ in stamps}) == 1
         modified = [value for _, value in stamps]
@@ -508,7 +507,7 @@ def test_image_identity_corruption_and_stability(tmp_path, capsys):
         # every single-bit payload flip is caught on dump, none slip through
         payload = random.Random(99).randbytes(48)
         victim = tmp_path / "victim.boxi"
-        with create_image("victim", victim) as image:
+        with BoxImage.create("victim", victim) as image:
             image.add_partition(payload, datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
                                 parttype=PART_DATA, arch=ARCH_ANY, name="p")
         part = read_descriptors(victim)[0]
@@ -517,19 +516,19 @@ def test_image_identity_corruption_and_stability(tmp_path, capsys):
         for byte in range(48):
             for bit in range(8):
                 flip_bit(victim, part["offset"] + byte, bit)
-                with open_image(victim) as image:
+                with BoxImage.open(victim) as image:
                     with pytest.raises(CorruptPartition):
                         image.dump_partition(part["id"])
                 flip_bit(victim, part["offset"] + byte, bit)
                 flips += 1
         assert flips == 48 * 8
-        with open_image(victim) as image:
+        with BoxImage.open(victim) as image:
             assert image.dump_partition(part["id"]) == payload
 
         # sampled flips across a 1 MiB payload are caught just the same
         big = random.Random(7).randbytes(1024 * 1024)
         grand = tmp_path / "grand.boxi"
-        with create_image("grand", grand) as image:
+        with BoxImage.create("grand", grand) as image:
             image.add_partition(big, datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
                                 parttype=PART_DATA, arch=ARCH_ANY, name="big")
         part = read_descriptors(grand)[0]
@@ -538,7 +537,7 @@ def test_image_identity_corruption_and_stability(tmp_path, capsys):
             offset = part["offset"] + rng.randrange(part["size"])
             bit = rng.randrange(8)
             flip_bit(grand, offset, bit)
-            with open_image(grand) as image:
+            with BoxImage.open(grand) as image:
                 with pytest.raises(CorruptPartition):
                     image.dump_partition(part["id"])
             flip_bit(grand, offset, bit)
@@ -559,15 +558,15 @@ def test_image_identity_corruption_and_stability(tmp_path, capsys):
 
         trail = assemble_record_trail(spec, report, "output")
         output_image = tmp_path / "flow" / "output.boxi"
-        with open_image(output_image) as image:
+        with BoxImage.open(output_image) as image:
             first = attach_metadata(image, trail)
             body = image.dump_partition(first)
             second = attach_metadata(image, trail)
             assert second == first
-            assert image.dump_partition(second) == body == trail.to_canonical_json()
+            assert image.dump_partition(second) == body == trail.to_json()
         kinds = sorted(p["parttype"] for p in read_descriptors(output_image))
         assert kinds == [PART_DATA, PART_METADATA]
-        with open_image(output_image) as image:
+        with BoxImage.open(output_image) as image:
             assert read_trail(image).to_mapping() == trail.to_mapping()
 
         notes.append("10000 identifiers, 640 bit flips caught, inputs byte-stable")

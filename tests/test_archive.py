@@ -19,7 +19,6 @@ from boxi.archive import (
     encode_dir,
     encode_entries,
     extract_dir,
-    extract_entries,
     scan_dir,
 )
 from boxi.errors import MalformedArchive, UnsupportedEntry
@@ -123,7 +122,7 @@ def test_scan_dir_rejects_non_directory(tmp_path):
 
 
 def test_extract_creates_implied_parents(tmp_path):
-    extract_entries([ArchiveEntry("a/b/c.txt", FILE, b"x")], tmp_path / "out")
+    extract_dir(encode_entries([ArchiveEntry("a/b/c.txt", FILE, b"x")]), tmp_path / "out")
     assert (tmp_path / "out" / "a" / "b" / "c.txt").read_bytes() == b"x"
 
 
@@ -143,7 +142,7 @@ def test_extract_fills_a_read_only_directory(tmp_path, monkeypatch):
                ArchiveEntry("ro/inner", 0o40555, None),
                ArchiveEntry("ro/inner/f.txt", 0o100444, b"x"),
                ArchiveEntry("ro/z.txt", FILE, b"z")]
-    extract_entries(entries, tmp_path / "out")
+    extract_dir(encode_entries(entries), tmp_path / "out")
     monkeypatch.undo()
     tree = walk_tree(tmp_path / "out")
     assert tree == {"ro": ("dir", 0o555, None),
@@ -317,7 +316,7 @@ def test_disk_round_trip_preserves_any_tree(tree, tmp_path):
     entries = _tree_entries(tree)
     # tmp_path is shared across examples; isolate each one.
     base = tmp_path / uuid.uuid4().hex
-    extract_entries(entries, base / "first")
+    extract_dir(encode_entries(entries), base / "first")
     extract_dir(encode_dir(base / "first"), base / "second")
     assert_same_tree(base / "first", base / "second")
     by_path = {e.path: e for e in scan_dir(base / "second")}

@@ -67,9 +67,9 @@ def test_space_report_delta_is_exactly_the_framing(workbench):
 
 
 def test_space_report_covers_every_partition(workbench):
-    from boxi.image import open_image
+    from boxi.image import BoxImage
     spec = workbench.identity_spec(files={"a.txt": b"abc"})
-    with open_image(workbench.root / "input.boxi") as image:
+    with BoxImage.open(workbench.root / "input.boxi") as image:
         image.add_partition(b"0123456789", datatype=3, fstype=1, parttype=4,
                             arch=0, name="notes")
     report = bench_space(spec)
@@ -189,10 +189,10 @@ def test_transfer_report_counts_and_reproducibility(tmp_path):
 
 def test_transfer_leaves_the_payload_in_the_destination(tmp_path):
     from boxi.archive import extract_dir
-    from boxi.image import open_image
+    from boxi.image import BoxImage
 
     bench_transfer(10_000, repetitions=1, seed=5, workdir=tmp_path)
-    with open_image(tmp_path / "transfer-dst.boxi") as image:
+    with BoxImage.open(tmp_path / "transfer-dst.boxi") as image:
         extract_dir(image.dump_partition(1), tmp_path / "unpacked")
     moved = walk_tree(tmp_path / "unpacked" / "Inputs")
     original = walk_tree(tmp_path / "payload")

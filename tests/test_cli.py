@@ -23,10 +23,9 @@ from boxi.image import (
     FS_ARCHIVE_RO,
     PART_METADATA,
     PART_SYSTEM_PRIMARY,
+    BoxImage,
     NewPartition,
-    create_image,
     iso_utc,
-    open_image,
 )
 from boxi.provenance import read_trail
 from boxi.runtime import load_workflow, run_workflow
@@ -240,7 +239,7 @@ def test_run_rejects_an_app_manifest_that_is_not_utf8(workbench, capsys):
         ArchiveEntry("run.py", stat.S_IFREG | 0o755, standins.IDENTITY.encode()),
     ])
     (workbench.root / "app.boxi").unlink()
-    create_image("app", workbench.root / "app.boxi", [NewPartition(
+    BoxImage.create("app", workbench.root / "app.boxi", [NewPartition(
         tree, datatype=DATA_PARTITION, fstype=FS_ARCHIVE_RO,
         parttype=PART_SYSTEM_PRIMARY, arch=ARCH_X86_64, name="system")])
     with pytest.raises(errors.RecipeParseError):
@@ -252,7 +251,7 @@ def test_run_rejects_an_app_manifest_that_is_not_utf8(workbench, capsys):
 def test_trail_rejects_a_deeply_nested_payload_with_exit_4(tmp_path, capsys):
     image = tmp_path / "out.boxi"
     main(["new-output", "Outputs", str(image)])
-    with open_image(image) as handle:
+    with BoxImage.open(image) as handle:
         handle.add_partition(DEEP_JSON, datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
                              parttype=PART_METADATA, arch=ARCH_ANY, name="metadata")
         with pytest.raises(errors.MalformedTrail):
@@ -276,11 +275,20 @@ def test_trail_table_output(workbench, capsys):
     assert lines[6] == "exit_status: 0"
 
 
-def test_trail_json_is_the_stored_payload(workbench, capsys):
+def test_trail_json_is_the_stored_payload(workbench, capsys, monkeypatch):
     flow = identity_workflow(workbench)
     main(["run", flow])
     capsys.readouterr()
+    dumped = []
+    real_dump = BoxImage.dump_partition
+
+    def counting_dump(self, partition_id):
+        dumped.append(partition_id)
+        return real_dump(self, partition_id)
+
+    monkeypatch.setattr(BoxImage, "dump_partition", counting_dump)
     assert main(["trail", str(workbench.root / "output.boxi"), "--json"]) == 0
+    assert len(dumped) == 1
     printed = capsys.readouterr().out.encode("utf-8")
     stored = next(r["payload"]
                   for r in read_descriptors(workbench.root / "output.boxi")
@@ -375,12 +383,12 @@ import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
 from boxi.cli import main
 from boxi.errors import NotABoxImage
-from boxi.image import open_image
+from boxi.image import BoxImage
 try:
-    open_image("/dev/zero")
+    BoxImage.open("/dev/zero")
 except NotABoxImage:
     sys.exit(main(["inspect", "/dev/zero"]))
-sys.exit("open_image accepted /dev/zero")
+sys.exit("BoxImage.open accepted /dev/zero")
 """
 
 
@@ -394,6 +402,18 @@ def test_inspect_of_an_endless_device_exits_4():
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
     assert proc.returncode == 4, proc.stderr
     assert "bad magic" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_inspect_of_a_fifo_exits_4_without_waiting_for_a_writer(tmp_path):
+    fifo = tmp_path / "pipe.boxi"
+    os.mkfifo(fifo)
+    proc = subprocess.run(
+        [sys.executable, "-m", "boxi", "inspect", str(fifo)],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 4, proc.stderr
+    assert "FIFO" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

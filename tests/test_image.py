@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import hashlib
 import shutil
+import stat
 import struct
 import time
 import uuid as uuidlib
@@ -38,10 +39,10 @@ from boxi.image import (
     PART_SYSTEM_PRIMARY,
     BoxImage,
     NewPartition,
-    create_image,
     iso_utc,
-    open_image,
 )
+
+from boxi.provenance import SCHEMA_VERSION, ComponentRecord, RecordTrail, attach_metadata
 
 from .oracles import HEADER_STRUCT, read_descriptors, read_header
 
@@ -50,7 +51,7 @@ DATA_CODES = dict(datatype=DATA_PARTITION, fstype=FS_ARCHIVE_RW,
 
 
 def make_image(tmp_path, name="img"):
-    return create_image(name, tmp_path / f"{name}.boxi")
+    return BoxImage.create(name, tmp_path / f"{name}.boxi")
 
 
 def test_header_sizes_match_documented_layout():
@@ -80,14 +81,14 @@ def test_created_at_is_wall_clock(tmp_path):
 
 def test_default_path_is_name_dot_boxi(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    img = create_image("standalone")
+    img = BoxImage.create("standalone")
     assert img.path.name == "standalone.boxi"
     assert (tmp_path / "standalone.boxi").exists()
 
 
 def test_image_name_rejects_slash(tmp_path):
     with pytest.raises(InvalidName):
-        create_image("a/b", tmp_path / "x.boxi")
+        BoxImage.create("a/b", tmp_path / "x.boxi")
 
 
 def test_add_partition_writes_documented_bytes(tmp_path):
@@ -143,7 +144,7 @@ def test_reopen_sees_identical_state(tmp_path):
     img.add_partition(b"one", name="one", **DATA_CODES)
     img.add_partition(b"{}", datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
                       parttype=PART_METADATA, arch=ARCH_ANY, name="meta")
-    reopened = open_image(img.path)
+    reopened = BoxImage.open(img.path)
     assert reopened.uuid == img.uuid
     assert reopened.created_at == img.created_at
     assert reopened.modified_at == img.modified_at
@@ -153,14 +154,14 @@ def test_reopen_sees_identical_state(tmp_path):
 
 
 def test_name_is_path_stem(tmp_path):
-    img = create_image("logical", tmp_path / "ondisk.boxi")
+    img = BoxImage.create("logical", tmp_path / "ondisk.boxi")
     assert img.name == "ondisk"
 
 
 def test_sixty_four_byte_name_fits_and_longer_fails(tmp_path):
     img = make_image(tmp_path)
     img.add_partition(b"", name="n" * 64, **DATA_CODES)
-    assert open_image(img.path).descriptor(1).name == "n" * 64
+    assert BoxImage.open(img.path).descriptor(1).name == "n" * 64
     with pytest.raises(InvalidName):
         img.add_partition(b"", name="n" * 65, **DATA_CODES)
 
@@ -171,7 +172,7 @@ def test_name_limit_counts_utf8_bytes(tmp_path):
     with pytest.raises(InvalidName):
         img.add_partition(b"", name="é" * 33, **DATA_CODES)
     img.add_partition(b"", name="é" * 32, **DATA_CODES)
-    assert open_image(img.path).descriptor(1).name == "é" * 32
+    assert BoxImage.open(img.path).descriptor(1).name == "é" * 32
 
 
 @pytest.mark.parametrize("name", ["", "bad\x00name"])
@@ -215,8 +216,8 @@ def test_find_filters_by_type(tmp_path):
     img.add_partition(b"{}", datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
                       parttype=PART_METADATA, arch=ARCH_ANY, name="m")
     assert [p.name for p in img.find(parttype=PART_DATA)] == ["d"]
-    assert [p.name for p in img.find(datatype=DATA_JSON)] == ["m"]
-    assert [p.name for p in img.find(parttype=PART_DATA, datatype=DATA_JSON)] == []
+    assert [p.name for p in img.find(parttype=PART_METADATA)] == ["m"]
+    assert img.find(parttype=PART_SYSTEM_PRIMARY) == []
 
 
 def test_delete_then_close_reclaims_the_hole(tmp_path):
@@ -226,7 +227,7 @@ def test_delete_then_close_reclaims_the_hole(tmp_path):
     img.delete_partition(1)
     assert img.path.stat().st_size == 60 + 4 + 160
     img.close()
-    reopened = open_image(img.path)
+    reopened = BoxImage.open(img.path)
     assert [p.partition_id for p in reopened.partitions] == [keep]
     assert reopened.dump_partition(keep) == b"keep"
     assert img.path.stat().st_size == 60 + 4 + 160
@@ -257,13 +258,13 @@ def test_update_keeps_identity_and_replaces_bytes(tmp_path):
     assert part.datatype == DATA_PARTITION
     assert img.dump_partition(pid) == b"after, and longer"
     assert img.dump_partition(other) == b"other"
-    reopened = open_image(img.path)
+    reopened = BoxImage.open(img.path)
     assert reopened.dump_partition(pid) == b"after, and longer"
     assert img.path.stat().st_size == 60 + 17 + 5 + 2 * 160
 
 
 def test_create_writes_its_partitions_in_one_file(tmp_path):
-    img = create_image("packed", tmp_path / "packed.boxi", [
+    img = BoxImage.create("packed", tmp_path / "packed.boxi", [
         NewPartition(b"aaa", name="a", **DATA_CODES),
         NewPartition(b"{}", datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
                      parttype=PART_METADATA, arch=ARCH_ANY, name="m"),
@@ -273,17 +274,17 @@ def test_create_writes_its_partitions_in_one_file(tmp_path):
     assert (m["id"], m["offset"], m["payload"]) == (2, 63, b"{}")
     assert read_header(img.path)["table_offset"] == 65
     assert img.path.stat().st_size == 65 + 2 * 160
-    assert open_image(img.path).partitions == img.partitions
+    assert BoxImage.open(img.path).partitions == img.partitions
 
 
 def test_create_with_a_bad_partition_writes_nothing(tmp_path):
     target = tmp_path / "bad.boxi"
     with pytest.raises(InvalidName):
-        create_image("bad", target, [NewPartition(b"x", name="", **DATA_CODES)])
+        BoxImage.create("bad", target, [NewPartition(b"x", name="", **DATA_CODES)])
     primary = dict(DATA_CODES, parttype=PART_SYSTEM_PRIMARY)
     with pytest.raises(DuplicatePrimary):
-        create_image("bad", target, [NewPartition(b"x", name="a", **primary),
-                                     NewPartition(b"y", name="b", **primary)])
+        BoxImage.create("bad", target, [NewPartition(b"x", name="a", **primary),
+                                        NewPartition(b"y", name="b", **primary)])
     assert not target.exists()
 
 
@@ -338,8 +339,14 @@ def _raise_oserror(*args, **kwargs):
     raise OSError(errno.EIO, "injected failure")
 
 
+_RECORD = ComponentRecord("output", "img", str(uuidlib.UUID(int=1)),
+                          "2020-01-01T00:00:00Z", "2020-01-01T00:00:00Z")
+_TRAIL = RecordTrail(SCHEMA_VERSION, "wf", _RECORD, (_RECORD,), "run.py",
+                     "2020-01-01T00:00:00Z", 0)
+
 MUTATIONS = {
     "add": lambda img: img.add_partition(b"new payload", name="new", **DATA_CODES),
+    "attach": lambda img: attach_metadata(img, _TRAIL),
     "delete": lambda img: img.delete_partition(1),
     "update": lambda img: img.update_partition(2, b"replacement"),
 }
@@ -357,7 +364,7 @@ def test_a_failed_change_leaves_the_image_as_it_was(tmp_path, monkeypatch, mutat
     shutil.copyfile(img.path, twin)
     with monkeypatch.context() as patch:
         counter = _WriteFaults(patch, fail_at=0)
-        change(open_image(twin))
+        change(BoxImage.open(twin))
     assert counter.writes >= 3  # at least header, payloads and table
 
     faults = [("write", n) for n in range(1, counter.writes + 1)]
@@ -372,13 +379,13 @@ def test_a_failed_change_leaves_the_image_as_it_was(tmp_path, monkeypatch, mutat
                 change(img)
         where = f"{fault} {n or ''}"
         assert img.path.read_bytes() == before, where
-        reopened = open_image(img.path)
+        reopened = BoxImage.open(img.path)
         assert {pid: reopened.dump_partition(pid) for pid in payloads} == payloads, where
         assert list(tmp_path.glob(f".{img.path.name}.*")) == [], where
         assert {pid: img.dump_partition(pid) for pid in payloads} == payloads, where
 
     change(img)
-    assert open_image(img.path).partitions == img.partitions
+    assert BoxImage.open(img.path).partitions == img.partitions
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
@@ -389,11 +396,21 @@ def test_a_change_through_a_symlink_rewrites_its_target(tmp_path, mutation):
     (tmp_path / "links").mkdir()
     link = tmp_path / "links" / "img.boxi"
     link.symlink_to(real.path)
-    via_link = open_image(link)
+    via_link = BoxImage.open(link)
     MUTATIONS[mutation](via_link)
     assert link.is_symlink()
-    assert open_image(real.path).partitions == via_link.partitions
+    assert BoxImage.open(real.path).partitions == via_link.partitions
     assert list((tmp_path / "links").iterdir()) == [link]
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_a_change_keeps_the_permission_bits(tmp_path, mutation):
+    img = make_image(tmp_path)
+    img.add_partition(b"A" * 1000, name="a", **DATA_CODES)
+    img.add_partition(b"{}", name="b", **DATA_CODES)
+    img.path.chmod(0o640)
+    MUTATIONS[mutation](img)
+    assert stat.S_IMODE(img.path.stat().st_mode) == 0o640
 
 
 def test_closed_handle_refuses_operations(tmp_path):
@@ -440,7 +457,7 @@ class _ReadCounter(_WrappedFile):
 @pytest.mark.parametrize("count", [0, 1, 3])
 def test_open_reads_only_the_header_and_the_table(tmp_path, monkeypatch, count):
     payloads = [bytes([n]) * 50_000 for n in range(count)]
-    img = create_image("img", tmp_path / "img.boxi", [
+    img = BoxImage.create("img", tmp_path / "img.boxi", [
         NewPartition(payload, name=f"p{n}", **DATA_CODES)
         for n, payload in enumerate(payloads)])
     if count:
@@ -451,7 +468,7 @@ def test_open_reads_only_the_header_and_the_table(tmp_path, monkeypatch, count):
     counts: list[int] = []
     monkeypatch.setattr(image_mod, "open", lambda *args, **kwargs: _ReadCounter(
         open(*args, **kwargs), counts), raising=False)
-    reopened = open_image(img.path)
+    reopened = BoxImage.open(img.path)
     monkeypatch.undo()
     assert HEADER_SIZE <= sum(counts) <= HEADER_SIZE + count * DESCRIPTOR_SIZE
     assert reopened.partitions == img.partitions
@@ -464,28 +481,28 @@ def test_open_reads_only_the_header_and_the_table(tmp_path, monkeypatch, count):
 
 def test_open_missing_file(tmp_path):
     with pytest.raises(IoError):
-        open_image(tmp_path / "absent.boxi")
+        BoxImage.open(tmp_path / "absent.boxi")
 
 
 def test_open_rejects_tiny_file(tmp_path):
     target = tmp_path / "tiny.boxi"
     target.write_bytes(b"BO")
     with pytest.raises(TruncatedImage):
-        open_image(target)
+        BoxImage.open(target)
 
 
 def test_open_rejects_foreign_magic(tmp_path):
     target = tmp_path / "foreign.boxi"
     target.write_bytes(b"ELF\x7f" + b"\x00" * 100)
     with pytest.raises(NotABoxImage):
-        open_image(target)
+        BoxImage.open(target)
 
 
 def test_open_rejects_cut_header(tmp_path):
     target = tmp_path / "cut.boxi"
     target.write_bytes(b"BOXI" + b"\x00" * 20)
     with pytest.raises(TruncatedImage):
-        open_image(target)
+        BoxImage.open(target)
 
 
 def test_open_rejects_future_version(tmp_path):
@@ -494,7 +511,7 @@ def test_open_rejects_future_version(tmp_path):
     struct.pack_into("<I", data, 4, 2)
     img.path.write_bytes(bytes(data))
     with pytest.raises(NotABoxImage):
-        open_image(img.path)
+        BoxImage.open(img.path)
 
 
 def test_open_rejects_truncated_table(tmp_path):
@@ -503,7 +520,7 @@ def test_open_rejects_truncated_table(tmp_path):
     data = img.path.read_bytes()
     (tmp_path / "cut.boxi").write_bytes(data[:-40])
     with pytest.raises(TruncatedImage):
-        open_image(tmp_path / "cut.boxi")
+        BoxImage.open(tmp_path / "cut.boxi")
 
 
 def craft(tmp_path, records, payload=b""):
@@ -527,7 +544,7 @@ def _rec(pid, *, datatype=DATA_PARTITION, fstype=FS_ARCHIVE_RW,
 def test_crafted_duplicate_ids_rejected(tmp_path):
     path = craft(tmp_path, [_rec(1), _rec(1, name=b"q")])
     with pytest.raises(NotABoxImage):
-        open_image(path)
+        BoxImage.open(path)
 
 
 def test_crafted_two_primaries_rejected(tmp_path):
@@ -536,7 +553,7 @@ def test_crafted_two_primaries_rejected(tmp_path):
         _rec(2, parttype=PART_SYSTEM_PRIMARY, name=b"q"),
     ])
     with pytest.raises(NotABoxImage):
-        open_image(path)
+        BoxImage.open(path)
 
 
 def test_crafted_overlapping_extents_rejected(tmp_path):
@@ -545,32 +562,32 @@ def test_crafted_overlapping_extents_rejected(tmp_path):
         _rec(2, offset=63, size=5, name=b"q"),
     ], payload=b"12345678")
     with pytest.raises(NotABoxImage):
-        open_image(path)
+        BoxImage.open(path)
 
 
 def test_crafted_extent_in_table_region_rejected(tmp_path):
     # Points past the payload area but still inside the file.
     path = craft(tmp_path, [_rec(1, offset=70, size=8)], payload=b"1234")
     with pytest.raises(NotABoxImage):
-        open_image(path)
+        BoxImage.open(path)
 
 
 def test_crafted_extent_past_eof_rejected(tmp_path):
     path = craft(tmp_path, [_rec(1, offset=60, size=10_000)], payload=b"1234")
     with pytest.raises((NotABoxImage, TruncatedImage)):
-        open_image(path)
+        BoxImage.open(path)
 
 
 def test_crafted_unknown_code_rejected(tmp_path):
     path = craft(tmp_path, [_rec(1, arch=1)])
     with pytest.raises(NotABoxImage):
-        open_image(path)
+        BoxImage.open(path)
 
 
 def test_crafted_non_utf8_name_rejected(tmp_path):
     path = craft(tmp_path, [_rec(1, name=b"\xff\xfe")])
     with pytest.raises(NotABoxImage):
-        open_image(path)
+        BoxImage.open(path)
 
 
 def test_crafted_valid_record_accepted(tmp_path):
@@ -579,7 +596,7 @@ def test_crafted_valid_record_accepted(tmp_path):
     path = craft(tmp_path, [
         _rec(1, offset=60, size=4, digest=hashlib.sha256(payload).digest()),
     ], payload=payload)
-    img = open_image(path)
+    img = BoxImage.open(path)
     assert img.dump_partition(1) == payload
     assert img.created_at == 10
     assert img.modified_at == 20
@@ -613,10 +630,10 @@ def test_iso_rendering_of_known_instants():
           deadline=None, max_examples=30)
 @given(payloads=st.lists(st.binary(max_size=512), min_size=1, max_size=5))
 def test_any_payloads_round_trip(payloads, tmp_path):
-    img = create_image("rt", tmp_path / f"{uuidlib.uuid4().hex}.boxi")
+    img = BoxImage.create("rt", tmp_path / f"{uuidlib.uuid4().hex}.boxi")
     pids = [img.add_partition(body, name=f"p{i}", **DATA_CODES)
             for i, body in enumerate(payloads)]
-    reopened = open_image(img.path)
+    reopened = BoxImage.open(img.path)
     for pid, body in zip(pids, payloads):
         assert reopened.dump_partition(pid) == body
     # Disk framing overhead is exact: header plus one descriptor each.

@@ -19,9 +19,8 @@ from boxi.image import (
     DATA_JSON,
     FS_ARCHIVE_RO,
     PART_METADATA,
-    create_image,
+    BoxImage,
     iso_utc,
-    open_image,
 )
 from boxi.provenance import (
     METADATA_PARTITION_NAME,
@@ -29,7 +28,6 @@ from boxi.provenance import (
     RecordTrail,
     assemble_record_trail,
     attach_metadata,
-    attach_metadata_isolated,
     canonical_json,
     capture_static_metadata,
     read_trail,
@@ -101,9 +99,9 @@ def test_malformed_records_are_rejected(mutate):
 
 def test_trail_round_trips_through_canonical_json():
     trail = RecordTrail.from_mapping(make_trail())
-    again = RecordTrail.from_json(trail.to_canonical_json())
+    again = RecordTrail.from_json(trail.to_json())
     assert again == trail
-    assert again.to_canonical_json() == trail.to_canonical_json()
+    assert again.to_json() == trail.to_json()
 
 
 def test_trail_mapping_uses_schema_key_order():
@@ -144,7 +142,7 @@ def test_from_json_rejects_non_json():
 def test_capture_reads_the_image_header(tmp_path, monkeypatch):
     import boxi.image as image_mod
     monkeypatch.setattr(image_mod.time, "time", lambda: 1_700_000_000)
-    image = create_image("fixture", tmp_path / "fixture.boxi")
+    image = BoxImage.create("fixture", tmp_path / "fixture.boxi")
     record = capture_static_metadata(image, "input")
     assert record.role == "input"
     assert record.name == "fixture"
@@ -154,7 +152,7 @@ def test_capture_reads_the_image_header(tmp_path, monkeypatch):
 
 
 def test_capture_rejects_unknown_role(tmp_path):
-    image = create_image("fixture", tmp_path / "fixture.boxi")
+    image = BoxImage.create("fixture", tmp_path / "fixture.boxi")
     with pytest.raises(ValueError):
         capture_static_metadata(image, "bystander")
 
@@ -303,7 +301,7 @@ def test_attach_creates_a_metadata_partition(workbench):
     spec = workbench.identity_spec()
     report = run_workflow(spec, ZERO_COPY)
     trail = assemble_record_trail(spec, report, "out")
-    with open_image(workbench.root / "output.boxi") as image:
+    with BoxImage.open(workbench.root / "output.boxi") as image:
         pid = attach_metadata(image, trail)
     assert pid == 2
 
@@ -314,14 +312,14 @@ def test_attach_creates_a_metadata_partition(workbench):
     assert record["parttype"] == PART_METADATA
     assert record["arch"] == ARCH_ANY
     assert record["name"] == METADATA_PARTITION_NAME
-    assert record["payload"] == trail.to_canonical_json()
+    assert record["payload"] == trail.to_json()
 
 
 def test_attach_replaces_in_place(workbench):
     spec = workbench.identity_spec()
     report = run_workflow(spec, ZERO_COPY)
     trail = assemble_record_trail(spec, report, "out")
-    with open_image(workbench.root / "output.boxi") as image:
+    with BoxImage.open(workbench.root / "output.boxi") as image:
         first = attach_metadata(image, trail)
         second = attach_metadata(image, trail)
         assert first == second
@@ -333,7 +331,7 @@ def test_attach_collapses_stray_metadata_partitions(workbench):
     spec = workbench.identity_spec()
     report = run_workflow(spec, ZERO_COPY)
     trail = assemble_record_trail(spec, report, "out")
-    with open_image(workbench.root / "output.boxi") as image:
+    with BoxImage.open(workbench.root / "output.boxi") as image:
         image.add_partition(b"{}", datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
                             parttype=PART_METADATA, arch=ARCH_ANY, name="stray1")
         image.add_partition(b"{}", datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
@@ -344,28 +342,16 @@ def test_attach_collapses_stray_metadata_partitions(workbench):
         assert read_trail(image) == trail
 
 
-def test_attach_isolated_builds_a_sidecar_image(workbench, tmp_path):
-    spec = workbench.identity_spec()
-    report = run_workflow(spec, ZERO_COPY)
-    trail = assemble_record_trail(spec, report, "out")
-    sidecar = attach_metadata_isolated(trail, tmp_path / "sidecar.boxi")
-    assert sidecar.name == "sidecar"
-    with open_image(sidecar.path) as image:
-        assert read_trail(image) == trail
-    (record,) = read_descriptors(sidecar.path)
-    assert record["payload"] == trail.to_canonical_json()
-
-
 def test_read_trail_without_metadata(workbench):
     workbench.output_image()
-    with open_image(workbench.root / "output.boxi") as image:
+    with BoxImage.open(workbench.root / "output.boxi") as image:
         with pytest.raises(NoMetadataPartition):
             read_trail(image)
 
 
 def test_read_trail_with_two_metadata_partitions(workbench):
     workbench.output_image()
-    with open_image(workbench.root / "output.boxi") as image:
+    with BoxImage.open(workbench.root / "output.boxi") as image:
         for name in ("m1", "m2"):
             image.add_partition(b"{}", datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
                                 parttype=PART_METADATA, arch=ARCH_ANY, name=name)
@@ -375,7 +361,7 @@ def test_read_trail_with_two_metadata_partitions(workbench):
 
 def test_read_trail_rejects_garbage_payload(workbench):
     workbench.output_image()
-    with open_image(workbench.root / "output.boxi") as image:
+    with BoxImage.open(workbench.root / "output.boxi") as image:
         image.add_partition(json.dumps({"weird": 1}).encode(),
                             datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
                             parttype=PART_METADATA, arch=ARCH_ANY, name="meta")

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import shutil
 import stat
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +25,7 @@ from boxi.errors import (
     UnknownComponent,
     WrongPartitionType,
 )
-from boxi.image import open_image
+from boxi.image import BoxImage
 from boxi.packager import Recipe, build_app_image
 from boxi.runtime import (
     SANDBOX_ENV,
@@ -42,7 +44,7 @@ from .oracles import walk_tree
 
 def output_tree(image_path, dest):
     """Extract an image's single data partition for inspection."""
-    with open_image(image_path) as image:
+    with BoxImage.open(image_path) as image:
         (part,) = image.find(parttype=3)
         extract_dir(image.dump_partition(part.partition_id), dest)
     return walk_tree(dest)
@@ -283,7 +285,7 @@ def test_plan_rejects_unknown_mode(workbench):
 
 def test_plan_requires_one_data_partition_per_data_component(workbench):
     spec = workbench.identity_spec()
-    with open_image(workbench.root / "input.boxi") as image:
+    with BoxImage.open(workbench.root / "input.boxi") as image:
         image.add_partition(b"extra", datatype=4, fstype=2, parttype=3,
                             arch=2, name="second")
     with pytest.raises(WrongPartitionType):
@@ -312,7 +314,6 @@ def test_identity_run_copies_input_to_output(workbench, tmp_path):
     assert report.mode == ZERO_COPY
     assert report.copy_events == 2
     assert [ow.component_id for ow in report.outputs_written] == ["out"]
-    assert report.sandbox_dir is None
 
     tree = output_tree(workbench.root / "output.boxi", tmp_path / "check")
     assert tree["Outputs/data/a.txt"] == ("file", 0o644, b"alpha\n")
@@ -323,13 +324,13 @@ def test_both_modes_produce_identical_output_bytes(workbench):
     files = {"a.txt": b"alpha\n", "deep/nested/c.txt": b"c"}
     spec = workbench.identity_spec(files)
     zero = run_workflow(spec, ZERO_COPY)
-    with open_image(workbench.root / "output.boxi") as image:
+    with BoxImage.open(workbench.root / "output.boxi") as image:
         zero_payload = image.dump_partition(1)
 
     # fresh output image, same workflow, the staged mode
     workbench.output_image()
     two = run_workflow(spec, TWO_COPY)
-    with open_image(workbench.root / "output.boxi") as image:
+    with BoxImage.open(workbench.root / "output.boxi") as image:
         two_payload = image.dump_partition(1)
 
     assert zero.copy_events == 2
@@ -362,7 +363,7 @@ def test_readable_binding_of_a_subdirectory_exposes_only_that_subtree(workbench,
         ArchiveEntry("Outputs/data/deep", stat.S_IFDIR | 0o755, None),
         ArchiveEntry("Outputs/data/deep/b.txt", stat.S_IFREG | 0o644, b"beta"),
     ])
-    with open_image(workbench.root / "output.boxi") as image:
+    with BoxImage.open(workbench.root / "output.boxi") as image:
         assert image.dump_partition(1) == expected
 
 
@@ -449,7 +450,7 @@ with open(os.path.join(sys.argv[1], "seen.txt"), "w") as fh:
     workbench.app_image(lister)
     out_path = workbench.output_image()
     # seed the output image with stale content under Outputs
-    with open_image(out_path) as image:
+    with BoxImage.open(out_path) as image:
         from boxi.archive import ArchiveEntry, decode, encode_entries
         entries = decode(image.dump_partition(1))
         entries.append(ArchiveEntry("Outputs/stale.txt", 0o100644, b"old"))
@@ -473,7 +474,7 @@ with open(os.path.join(sys.argv[1], "seen.txt"), "w") as fh:
         assert tree["Outputs/seen.txt"][2] == b"[]", mode
         assert "Outputs/stale.txt" not in tree
         # reseed for the second mode
-        with open_image(out_path) as image:
+        with BoxImage.open(out_path) as image:
             entries = decode(image.dump_partition(1))
             entries.append(ArchiveEntry("Outputs/stale.txt", 0o100644, b"old"))
             image.update_partition(1, encode_entries(entries))
@@ -651,24 +652,33 @@ def test_no_invocations_means_no_copies(workbench):
     assert report.outputs_written == []
 
 
-def test_sandbox_is_removed_by_default(workbench, tmp_path):
+def keep_run_dirs(monkeypatch) -> list[Path]:
+    """Stop the run directory's removal; return the directories left in place."""
+    kept: list[Path] = []
+    monkeypatch.setattr(shutil, "rmtree", lambda path, **_: kept.append(Path(path)))
+    return kept
+
+
+def test_sandbox_is_removed_by_default(workbench, tmp_path, monkeypatch):
     spec = workbench.identity_spec()
     sandbox_root = tmp_path / "sandboxes"
     sandbox_root.mkdir()
-    report = run_workflow(spec, ZERO_COPY, sandbox_root=sandbox_root)
-    assert report.sandbox_dir is None
+    monkeypatch.setenv(SANDBOX_ENV, str(sandbox_root))
+    run_workflow(spec, ZERO_COPY)
     assert list(sandbox_root.iterdir()) == []
 
 
-def test_keep_sandbox_preserves_the_run_dir(workbench, tmp_path):
+def test_keep_sandbox_preserves_the_run_dir(workbench, tmp_path, monkeypatch):
     spec = workbench.identity_spec()
     sandbox_root = tmp_path / "sandboxes"
-    report = run_workflow(spec, TWO_COPY, sandbox_root=sandbox_root,
-                          keep_sandbox=True)
-    assert report.sandbox_dir is not None
-    kept = walk_tree(sandbox_root)
-    assert any(p.endswith("staging/0/a.txt") for p in kept)  # dump to staging
-    assert any("views/0" in p for p in kept)
+    monkeypatch.setenv(SANDBOX_ENV, str(sandbox_root))
+    kept = keep_run_dirs(monkeypatch)
+    run_workflow(spec, TWO_COPY)
+    (run_dir,) = kept
+    assert run_dir.parent == sandbox_root
+    tree = walk_tree(run_dir)
+    assert any(p.endswith("staging/0/a.txt") for p in tree)  # dump to staging
+    assert any("views/0" in p for p in tree)
 
 
 def test_sandbox_env_variable_sets_the_root(workbench, tmp_path, monkeypatch):
@@ -676,32 +686,22 @@ def test_sandbox_env_variable_sets_the_root(workbench, tmp_path, monkeypatch):
     custom = tmp_path / "custom-root"
     custom.mkdir()
     monkeypatch.setenv(SANDBOX_ENV, str(custom))
-    report = run_workflow(spec, ZERO_COPY, keep_sandbox=True)
-    assert report.sandbox_dir.startswith(str(custom))
+    kept = keep_run_dirs(monkeypatch)
+    run_workflow(spec, ZERO_COPY)
+    (run_dir,) = kept
+    assert run_dir.parent == custom
 
 
-def test_sandbox_root_argument_beats_the_env(workbench, tmp_path, monkeypatch):
-    spec = workbench.identity_spec()
-    monkeypatch.setenv(SANDBOX_ENV, str(tmp_path / "env-root"))
-    explicit = tmp_path / "explicit"
-    explicit.mkdir()
-    report = run_workflow(spec, ZERO_COPY, sandbox_root=explicit,
-                          keep_sandbox=True)
-    assert report.sandbox_dir.startswith(str(explicit))
-
-
-@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
-@pytest.mark.parametrize("via_env", [False, True], ids=["argument", "env"])
-def test_relative_sandbox_root_runs(workbench, tmp_path, monkeypatch, mode, via_env):
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY], ids=lambda mode: f"env-{mode}")
+def test_relative_sandbox_root_runs(workbench, tmp_path, monkeypatch, mode):
     spec = workbench.identity_spec()
     monkeypatch.chdir(tmp_path)
-    if via_env:
-        monkeypatch.setenv(SANDBOX_ENV, "rel-sandbox")
-        report = run_workflow(spec, mode, keep_sandbox=True)
-    else:
-        report = run_workflow(spec, mode, sandbox_root="rel-sandbox", keep_sandbox=True)
+    monkeypatch.setenv(SANDBOX_ENV, "rel-sandbox")
+    kept = keep_run_dirs(monkeypatch)
+    report = run_workflow(spec, mode)
     assert [rec.exit_status for rec in report.invocations] == [0]
-    assert report.sandbox_dir.startswith(str(tmp_path / "rel-sandbox") + "/")
+    (run_dir,) = kept
+    assert run_dir.parent == tmp_path / "rel-sandbox"
     tree = output_tree(workbench.root / "output.boxi", tmp_path / "check")
     assert tree["Outputs/data/a.txt"][2] == b"alpha\n"
 
@@ -749,12 +749,12 @@ def test_zero_copy_transfer_moves_the_tree(workbench, tmp_path):
 def test_transfer_modes_agree_byte_for_byte(workbench, tmp_path):
     src, dst = transfer_fixture(workbench)
     zero_copy_transfer(src, 1, dst, "/Inputs")
-    with open_image(dst) as image:
+    with BoxImage.open(dst) as image:
         zero_payload = image.dump_partition(1)
 
     dst2 = workbench.output_image(name="dst2", dir_name="Inputs")
     report = two_copy_transfer(src, 1, dst2, "/Inputs")
-    with open_image(dst2) as image:
+    with BoxImage.open(dst2) as image:
         two_payload = image.dump_partition(1)
     assert report.copy_events == 4
     assert zero_payload == two_payload
@@ -805,7 +805,7 @@ def test_the_replaced_subtree_is_still_checked_before_a_repack(workbench, how, c
     # entry there must still fail it before the image is written.
     flow = subdirectory_workflow(workbench, "in:/")
     output = workbench.root / "output.boxi"
-    with open_image(output) as image:
+    with BoxImage.open(output) as image:
         image.update_partition(1, _with_fifo_mode(encode_entries([
             ArchiveEntry("Keep", stat.S_IFDIR | 0o755, None),
             ArchiveEntry("Keep/k.txt", stat.S_IFREG | 0o644, b"kept"),
