@@ -30,6 +30,7 @@ extract_dir writes the content views straight to disk.
 
 from __future__ import annotations
 
+import re
 import stat
 import struct
 from dataclasses import dataclass
@@ -39,6 +40,10 @@ from typing import Collection
 from .errors import MalformedArchive, UnsupportedEntry
 
 MAGIC = b"BDA1"
+
+# NUL ends a string at the operating system, and a lone surrogate has no
+# UTF-8 encoding; neither can reach a file name, argument or environment.
+_UNSAFE = re.compile("[\x00\ud800-\udfff]")
 
 _PREAMBLE = struct.Struct("<4sI")
 _PATH_LEN = struct.Struct("<H")
@@ -64,6 +69,8 @@ class ArchiveEntry:
 def _check_path(path: str) -> bytes:
     if not path:
         raise MalformedArchive("empty entry path")
+    if _UNSAFE.search(path):
+        raise MalformedArchive(f"entry path holds NUL or a surrogate: {path!r}")
     if path.startswith("/"):
         raise MalformedArchive(f"absolute entry path: {path!r}")
     parts = path.split("/")

@@ -67,10 +67,11 @@ class UnsupportedEntry(BoxiError):
 class RecipeParseError(BoxiError):
     """A build recipe could not be parsed.
 
-    Carries the 1-based line number where parsing failed.
+    Carries the 1-based line number where parsing failed, or 0 for a
+    fault of the whole document.
     """
 
-    def __init__(self, message: str, line: int):
+    def __init__(self, message: str, line: int = 0):
         super().__init__(f"line {line}: {message}")
         self.line = line
 

@@ -36,7 +36,8 @@ A payload is read, and its checksum verified, only when it is dumped or
 carried forward by a change.
 
 An image file is written whole or not at all. Creating an image writes
-header, payloads and table to the new file in one pass. Every later change
+header, payloads and table to the new file in one pass; a path that is
+not a regular file, such as a FIFO, is refused first. Every later change
 (add, delete, update) verifies the payloads it keeps, writes the whole image
 with its payloads back to back to a temp file beside it, fsyncs that file
 and renames it over the old one, so a crash leaves either the old image or
@@ -208,7 +209,7 @@ def _new_descriptor(existing: list[PartitionDescriptor], image_name: str,
 
 
 def _open_nonblocking(path: str, flags: int) -> int:
-    """Open without waiting for a FIFO's writer, so that open can reject it."""
+    """Open without waiting for a FIFO's other end, so that it can be rejected."""
     return os.open(path, flags | os.O_NONBLOCK)
 
 
@@ -246,8 +247,9 @@ class BoxImage:
         """Create a new image file holding the given partitions.
 
         Ids are assigned from 1 in the order given, and the whole file is
-        written in one pass. When path is omitted the file is written as
-        <name>.boxi in the current directory.
+        written in one pass. A path that is not a regular file, such as a
+        FIFO, is refused before anything is written. When path is omitted
+        the file is written as <name>.boxi in the current directory.
         """
         _checked_name(name, "image")
         if "/" in name:
@@ -262,7 +264,9 @@ class BoxImage:
         now = int(time.time())
         image = cls(target, uuidlib.uuid4(), now, now, _laid_out(descriptors))
         try:
-            with open(target, "wb") as fh:
+            with open(target, "wb", opener=_open_nonblocking) as fh:
+                if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    raise IoError(f"cannot create image at {target}: not a regular file")
                 image._write(fh, now, image._partitions, payloads)
         except OSError as exc:
             raise IoError(f"cannot create image at {target}: {exc}") from exc

@@ -2,8 +2,8 @@
 
 Three encapsulation paths: pack an existing data directory, pack a fresh
 empty output directory, and build an application image from a recipe. An
-application image carries the runscript and its support files plus a
-canonical software manifest at the reserved path ".manifest".
+application image carries the runscript and its support files plus its
+SoftwareManifest, as canonical JSON, at the reserved path ".manifest".
 
 Recipe grammar (UTF-8, line oriented):
 
@@ -27,13 +27,15 @@ recorded, never installed: builds are hermetic and run no package manager.
 
 from __future__ import annotations
 
-import hashlib
+import json
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .archive import ArchiveEntry, _check_path, encode_dir, encode_entries
+from .archive import ArchiveEntry, _UNSAFE, _check_path, encode_dir, encode_entries
+from .document import Document
 from .errors import (
+    BoxiError,
     InvalidName,
     IoError,
     MalformedArchive,
@@ -57,21 +59,6 @@ MANIFEST_PATH = ".manifest"
 _SECTIONS = ("base", "packages", "files", "environment", "runscript")
 
 
-def _ordinal(key: str, lineno: int) -> int:
-    try:
-        return int(key.partition(".")[2])
-    except ValueError:
-        raise RecipeParseError(f"bad ordinal in manifest key {key!r}", lineno) from None
-
-
-def _single_line(text: str, what: str) -> str:
-    # splitlines catches every line boundary the parser would split on,
-    # not just \n: \r, \x0b, \x0c, \x85, U+2028, U+2029, and friends.
-    if text.splitlines() not in ([], [text]):
-        raise InvalidName(f"{what} contains a line break: {text!r}")
-    return text
-
-
 @dataclass
 class Recipe:
     """Parsed build description for an application image."""
@@ -84,12 +71,11 @@ class Recipe:
 
 
 @dataclass
-class SoftwareManifest:
+class SoftwareManifest(Document):
     """Identity of the software stack packed into an application image.
 
-    The canonical text is a sorted list of key=value lines, one per line,
-    LF terminated. List entries carry zero-padded ordinals in their keys
-    (pkg.0007, env.0002) so sorting the lines preserves list order.
+    It is stored at ".manifest" as its canonical JSON (see document.py),
+    with the fields below as keys, so equal recipes give equal bytes.
     """
 
     base: str
@@ -97,57 +83,47 @@ class SoftwareManifest:
     environment: list[tuple[str, str]]
     runscript: str
 
-    def to_text(self) -> str:
-        lines = [f"base={_single_line(self.base, 'base')}",
-                 f"runscript={_single_line(self.runscript, 'runscript')}"]
-        lines.extend(f"pkg.{i:04d}={_single_line(name, 'package')}"
-                     for i, name in enumerate(self.packages))
-        for i, (key, value) in enumerate(self.environment):
-            if "=" in key:
-                raise InvalidName(f"environment name contains '=': {key!r}")
-            lines.append(f"env.{i:04d}={_single_line(key, 'environment name')}"
-                         f"={_single_line(value, 'environment value')}")
-        return "".join(line + "\n" for line in sorted(lines))
-
-    @property
-    def manifest_hash(self) -> str:
-        return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
-
     @classmethod
-    def from_text(cls, text: str) -> "SoftwareManifest":
-        base: str | None = None
-        runscript: str | None = None
-        packages: list[tuple[int, str]] = []
-        environment: list[tuple[int, tuple[str, str]]] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise RecipeParseError("manifest line is not key=value", lineno)
-            if key == "base":
-                base = value
-            elif key == "runscript":
-                runscript = value
-            elif key.startswith("pkg."):
-                packages.append((_ordinal(key, lineno), value))
-            elif key.startswith("env."):
-                name, esep, val = value.partition("=")
-                if not esep:
-                    raise RecipeParseError("environment entry is not KEY=VALUE", lineno)
-                environment.append((_ordinal(key, lineno), (name, val)))
-            else:
-                raise RecipeParseError(f"unknown manifest key {key!r}", lineno)
-        if base is None:
-            raise RecipeParseError("manifest lacks a base line", 0)
-        if runscript is None:
-            raise RecipeParseError("manifest lacks a runscript line", 0)
-        return cls(
-            base=base,
-            packages=[name for _, name in sorted(packages)],
-            environment=[pair for _, pair in sorted(environment)],
-            runscript=runscript,
-        )
+    def from_json(cls, raw: bytes) -> "SoftwareManifest":
+        """Parse stored bytes with the checks build_app_image guarantees.
+
+        A runscript outside the image raises NoRunscript. Other faults raise
+        RecipeParseError, at line 0 unless the text is not UTF-8 or JSON.
+        """
+        keys = [f.name for f in fields(cls)]
+        try:
+            doc = json.loads(utf8_text(raw, MANIFEST_PATH))
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise RecipeParseError(f"{MANIFEST_PATH} is not JSON: {exc}",
+                                   getattr(exc, "lineno", 0)) from None
+        if not isinstance(doc, dict) or set(doc) != set(keys):
+            raise RecipeParseError(f"manifest must have exactly the keys {keys}", 0)
+        base, packages, environment, runscript = (doc[key] for key in keys)
+        if not _strings([base, runscript]) or not _strings(packages):
+            raise RecipeParseError("manifest base, runscript and packages must be strings", 0)
+        if not isinstance(environment, list) or not all(
+                _strings(pair) and len(pair) == 2 for pair in environment):
+            raise RecipeParseError("manifest environment must hold [name, value] strings", 0)
+        environment = [(name, value) for name, value in environment]
+        _check_environment(environment, RecipeParseError)
+        try:
+            _check_path(runscript)
+        except MalformedArchive as exc:
+            raise NoRunscript(f"manifest runscript: {exc}") from None
+        return cls(base, packages, environment, runscript)
+
+
+def _strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+def _check_environment(environment: list[tuple[str, str]],
+                       error: type[BoxiError] = InvalidName) -> None:
+    """Reject what no process environment can hold: '=' in a name, and NUL
+    or a lone surrogate in a name or value."""
+    for name, value in environment:
+        if "=" in name or _UNSAFE.search(name + value):
+            raise error(f"environment entry {name!r} holds '=' in its name, NUL or a surrogate")
 
 
 def utf8_text(raw: bytes, what: str) -> str:
@@ -311,8 +287,7 @@ def build_app_image(recipe: Recipe, image_name: str,
     directory). The resulting image holds exactly one system-primary
     partition: the files tree plus the manifest at ".manifest".
     """
-    runscript = (recipe.runscript or "").lstrip("/")
-    if not runscript:
+    if not (recipe.runscript or "").lstrip("/"):
         raise NoRunscript("recipe names no runscript")
     root = Path(source_root) if source_root is not None else Path(".")
 
@@ -329,13 +304,14 @@ def build_app_image(recipe: Recipe, image_name: str,
         except OSError as exc:
             raise IoError(f"cannot read {source}: {exc}") from exc
 
+    _check_environment(recipe.environment)
     manifest = SoftwareManifest(
         base=recipe.base,
         packages=list(recipe.packages),
-        environment=[(str(k), str(v)) for k, v in recipe.environment],
+        environment=list(recipe.environment),
         runscript=_inner_path(recipe.runscript, "runscript path"),
     )
-    pairs.append((MANIFEST_PATH, stat.S_IFREG | 0o644, manifest.to_text().encode("utf-8")))
+    pairs.append((MANIFEST_PATH, stat.S_IFREG | 0o644, manifest.to_json()))
 
     return BoxImage.create(image_name, path, [NewPartition(
         encode_entries(_entries_with_parents(pairs)),

@@ -37,6 +37,8 @@ from .image import (
     FS_ARCHIVE_RO,
     PART_METADATA,
     BoxImage,
+    NewPartition,
+    _new_descriptor,
     iso_utc,
 )
 from .runtime import (
@@ -204,8 +206,10 @@ def attach_metadata(image: BoxImage, trail: RecordTrail) -> int:
     """Store the trail as the image's single metadata partition.
 
     An existing metadata partition keeps its id and gets the new payload.
-    Either way the image is rewritten whole and swapped in atomically.
-    Returns the partition id holding the trail.
+    Otherwise the trail is added, and any stray metadata partitions are
+    dropped in the same rewrite. Either way the image is rewritten whole,
+    once, and swapped in atomically. Returns the partition id holding the
+    trail.
     """
     payload = trail.to_json()
     existing = image.find(parttype=PART_METADATA)
@@ -213,16 +217,12 @@ def attach_metadata(image: BoxImage, trail: RecordTrail) -> int:
         pid = existing[0].partition_id
         image.update_partition(pid, payload)
         return pid
-    for part in existing:
-        image.delete_partition(part.partition_id)
-    return image.add_partition(
-        payload,
-        datatype=DATA_JSON,
-        fstype=FS_ARCHIVE_RO,
-        parttype=PART_METADATA,
-        arch=ARCH_ANY,
-        name=METADATA_PARTITION_NAME,
-    )
+    kept = [part for part in image.partitions if part not in existing]
+    part = _new_descriptor(kept, image.name, NewPartition(
+        payload, datatype=DATA_JSON, fstype=FS_ARCHIVE_RO, parttype=PART_METADATA,
+        arch=ARCH_ANY, name=METADATA_PARTITION_NAME))
+    image._commit([*kept, part], {part.partition_id: payload})
+    return part.partition_id
 
 
 def _trail_payload(image: BoxImage) -> bytes:

@@ -53,7 +53,7 @@ from .errors import (
     WrongPartitionType,
 )
 from .image import BoxImage, PART_DATA, PART_SYSTEM_PRIMARY
-from .packager import MANIFEST_PATH, SoftwareManifest, utf8_text
+from .packager import MANIFEST_PATH, SoftwareManifest
 
 ZERO_COPY = "zero-copy"
 TWO_COPY = "two-copy"
@@ -148,9 +148,7 @@ def workflow_from_mapping(doc: object, base_dir: Path | str = ".") -> WorkflowSp
     base_dir = Path(base_dir)
     if not isinstance(doc, dict):
         raise InvalidWorkflowSpec("workflow document must be a JSON object")
-    label = doc.get("label")
-    if not isinstance(label, str) or not label:
-        raise InvalidWorkflowSpec("workflow needs a non-empty string label")
+    label = _expect_str(doc, "label", "workflow")
 
     components = []
     for raw in _expect_list(doc, "components"):
@@ -168,8 +166,9 @@ def workflow_from_mapping(doc: object, base_dir: Path | str = ".") -> WorkflowSp
     for raw in _expect_list(doc, "invocations"):
         app = _expect_str(raw, "app", "invocation")
         argv = raw.get("argv", [])
-        if not isinstance(argv, list) or any(not isinstance(a, str) for a in argv):
-            raise InvalidWorkflowSpec(f"invocation of {app!r}: argv must be a string list")
+        if not isinstance(argv, list) or any(
+                not isinstance(a, str) or archive._UNSAFE.search(a) for a in argv):
+            raise InvalidWorkflowSpec(f"argv of {app!r} must be strings, no NUL or surrogate")
         invocations.append(Invocation(app, tuple(argv)))
 
     spec = WorkflowSpec(label, components, bindings, invocations)
@@ -188,8 +187,8 @@ def _expect_str(raw: object, key: str, what: str) -> str:
     if not isinstance(raw, dict):
         raise InvalidWorkflowSpec(f"each {what} must be a JSON object")
     value = raw.get(key)
-    if not isinstance(value, str) or not value:
-        raise InvalidWorkflowSpec(f"{what} needs a non-empty string {key!r}")
+    if not isinstance(value, str) or not value or archive._UNSAFE.search(value):
+        raise InvalidWorkflowSpec(f"{what} needs a non-empty string {key!r}, no NUL or surrogate")
     return value
 
 
@@ -460,14 +459,6 @@ def _replace_subtree(entries: list[ArchiveEntry], inner: str,
     return kept
 
 
-def _read_manifest(view: Path, app_id: str) -> SoftwareManifest:
-    manifest_file = view / MANIFEST_PATH
-    if not manifest_file.is_file():
-        raise NoRunscript(f"application {app_id!r} ships no {MANIFEST_PATH}")
-    return SoftwareManifest.from_text(
-        utf8_text(manifest_file.read_bytes(), MANIFEST_PATH))
-
-
 def _snapshot(root: Path) -> list[tuple[str, int, int, int, int]]:
     """Path, mode, size, mtime and inode of root and of every entry under it.
 
@@ -489,7 +480,10 @@ def _snapshot(root: Path) -> list[tuple[str, int, int, int, int]]:
 
 
 def _execute(view: Path, app_id: str, argv: tuple[str, ...]) -> InvocationRecord:
-    manifest = _read_manifest(view, app_id)
+    manifest_file = view / MANIFEST_PATH
+    if not manifest_file.is_file():
+        raise NoRunscript(f"application {app_id!r} ships no {MANIFEST_PATH}")
+    manifest = SoftwareManifest.from_json(manifest_file.read_bytes())
     script = view / manifest.runscript
     if not script.is_file():
         raise NoRunscript(f"application {app_id!r}: runscript {manifest.runscript!r} missing")

@@ -151,7 +151,8 @@ def test_extract_fills_a_read_only_directory(tmp_path, monkeypatch):
                     "ro/z.txt": ("file", 0o644, b"z")}
 
 
-@pytest.mark.parametrize("path", ["", "/abs", "a//b", "a/../b", ".", "a/./b"])
+@pytest.mark.parametrize("path", ["", "/abs", "a//b", "a/../b", ".", "a/./b", "a\x00b",
+                                  "a\ud800b"])
 def test_encode_rejects_bad_paths(path):
     with pytest.raises(MalformedArchive):
         encode_entries([ArchiveEntry(path, FILE, b"")])
@@ -234,6 +235,15 @@ def test_decode_rejects_non_utf8_path():
             + struct.pack("<IQ", FILE, 0))
     with pytest.raises(MalformedArchive):
         decode(blob)
+
+
+def test_decode_and_extract_reject_a_path_with_nul(tmp_path):
+    blob = blob_for(("a\x00b.txt", FILE, b"x"))
+    with pytest.raises(MalformedArchive, match="NUL"):
+        decode(blob)
+    with pytest.raises(MalformedArchive, match="NUL"):
+        extract_dir(blob, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 _SOUND_FIRST = [("a.txt", FILE, b"one"), ("b", DIR, b""), ("b/c.txt", FILE, b"two")]

@@ -27,6 +27,7 @@ from boxi.image import (
     NewPartition,
     iso_utc,
 )
+from boxi.packager import SoftwareManifest
 from boxi.provenance import read_trail
 from boxi.runtime import load_workflow, run_workflow
 
@@ -248,6 +249,79 @@ def test_run_rejects_an_app_manifest_that_is_not_utf8(workbench, capsys):
     assert "line 1: .manifest is not UTF-8" in capsys.readouterr().err
 
 
+def _hand_made_app(workbench, manifest: SoftwareManifest) -> None:
+    """Replace app.boxi with an image that stores the manifest as given,
+    unchecked, beside the identity runscript."""
+    tree = encode_entries([
+        ArchiveEntry(".manifest", stat.S_IFREG | 0o644, manifest.to_json()),
+        ArchiveEntry("run.py", stat.S_IFREG | 0o755, standins.IDENTITY.encode()),
+    ])
+    (workbench.root / "app.boxi").unlink()
+    BoxImage.create("app", workbench.root / "app.boxi", [NewPartition(
+        tree, datatype=DATA_PARTITION, fstype=FS_ARCHIVE_RO,
+        parttype=PART_SYSTEM_PRIMARY, arch=ARCH_X86_64, name="system")])
+
+
+HOST_TOOL = '#!/bin/sh\ntouch "$(dirname "$0")/host_tool_ran"\n'
+
+
+@pytest.mark.parametrize("where", ["absolute", "parent"])
+def test_run_refuses_a_runscript_outside_the_view(workbench, monkeypatch, capsys, where):
+    flow = identity_workflow(workbench)
+    tool = standins.write_script(workbench.root / "host_tool.sh", HOST_TOOL)
+    monkeypatch.setenv("BOXI_SANDBOX", str(workbench.root / "sandbox"))
+    # The view is sandbox/boxi-run-*/views/0, four levels below the workbench.
+    runscript = str(tool) if where == "absolute" else "../../../../host_tool.sh"
+    _hand_made_app(workbench, SoftwareManifest("alpine", [], [], runscript))
+    assert main(["run", flow]) == 2
+    assert "runscript" in capsys.readouterr().err
+    assert not (workbench.root / "host_tool_ran").exists()
+
+
+def test_run_rejects_an_app_environment_name_with_nul_with_exit_2(workbench, capsys):
+    flow = identity_workflow(workbench)
+    _hand_made_app(workbench, SoftwareManifest("alpine", [], [("A\x00B", "v")], "run.py"))
+    assert main(["run", flow]) == 2
+    assert "NUL" in capsys.readouterr().err
+
+
+def test_run_rejects_an_input_path_with_nul_with_exit_4(workbench, capsys):
+    flow = identity_workflow(workbench)
+    blob = encode_entries([ArchiveEntry("a_b.txt", stat.S_IFREG | 0o644, b"x")])
+    with BoxImage.open(workbench.root / "input.boxi") as image:
+        image.update_partition(1, blob.replace(b"a_b.txt", b"a\x00b.txt"))
+    assert main(["run", flow]) == 4
+    assert "NUL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("char", ["\x00", "\ud800"], ids=["nul", "surrogate"])
+@pytest.mark.parametrize("field", ["argv", "image"])
+def test_run_rejects_nul_or_a_surrogate_in_a_workflow_string_with_exit_2(
+        workbench, capsys, field, char):
+    flow = Path(identity_workflow(workbench))
+    doc = json.loads(flow.read_text())
+    if field == "argv":
+        doc["invocations"][0]["argv"] = ["Inputs", f"Outputs/a{char}b"]
+    else:
+        doc["components"][0]["image"] = f"input{char}.boxi"
+    flow.write_text(json.dumps(doc))
+    assert main(["run", str(flow)]) == 2
+    assert "NUL or surrogate" in capsys.readouterr().err
+
+
+def test_build_rejects_nul_in_an_environment_value_with_exit_2(tmp_path, capsys):
+    standins.write_script(tmp_path / "plot.py", standins.PLOTTER)
+    (tmp_path / "app.recipe").write_text(
+        "[base]\nfrom = ubuntu:16.04\n"
+        "[files]\nplot.py = /plot.py\n"
+        "[environment]\nA = x\x00y\n"
+        "[runscript]\npath = /plot.py\n")
+    image = tmp_path / "app.boxi"
+    assert main(["build", str(tmp_path / "app.recipe"), str(image)]) == 2
+    assert "NUL" in capsys.readouterr().err
+    assert not image.exists()
+
+
 def test_trail_rejects_a_deeply_nested_payload_with_exit_4(tmp_path, capsys):
     image = tmp_path / "out.boxi"
     main(["new-output", "Outputs", str(image)])
@@ -414,6 +488,18 @@ def test_inspect_of_a_fifo_exits_4_without_waiting_for_a_writer(tmp_path):
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
     assert proc.returncode == 4, proc.stderr
     assert "FIFO" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_new_output_at_a_fifo_exits_2_without_waiting_for_a_reader(tmp_path):
+    fifo = tmp_path / "p.boxi"
+    os.mkfifo(fifo)
+    proc = subprocess.run(
+        [sys.executable, "-m", "boxi", "new-output", "Outputs", str(fifo)],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 2, proc.stderr
+    assert "cannot create image" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

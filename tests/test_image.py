@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import os
 import shutil
 import stat
 import struct
@@ -277,6 +278,18 @@ def test_create_writes_its_partitions_in_one_file(tmp_path):
     assert BoxImage.open(img.path).partitions == img.partitions
 
 
+def test_create_refuses_a_fifo_that_has_a_reader(tmp_path):
+    fifo = tmp_path / "p.boxi"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with pytest.raises(IoError, match="not a regular file"):
+            BoxImage.create("p", fifo, [NewPartition(b"x", name="x", **DATA_CODES)])
+        assert os.read(reader, 1) == b""
+    finally:
+        os.close(reader)
+
+
 def test_create_with_a_bad_partition_writes_nothing(tmp_path):
     target = tmp_path / "bad.boxi"
     with pytest.raises(InvalidName):
@@ -347,17 +360,28 @@ _TRAIL = RecordTrail(SCHEMA_VERSION, "wf", _RECORD, (_RECORD,), "run.py",
 MUTATIONS = {
     "add": lambda img: img.add_partition(b"new payload", name="new", **DATA_CODES),
     "attach": lambda img: attach_metadata(img, _TRAIL),
+    "attach-over-strays": lambda img: attach_metadata(img, _TRAIL),
     "delete": lambda img: img.delete_partition(1),
     "update": lambda img: img.update_partition(2, b"replacement"),
 }
+
+
+def _add_two_partitions(img, mutation) -> dict[int, bytes]:
+    """The partitions every mutation starts from: two data partitions, or
+    two stray metadata partitions for an attach over strays."""
+    codes = DATA_CODES
+    if mutation == "attach-over-strays":
+        codes = dict(datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
+                     parttype=PART_METADATA, arch=ARCH_ANY)
+    return {img.add_partition(b"A" * 1000, name="a", **codes): b"A" * 1000,
+            img.add_partition(b"{}", name="b", **codes): b"{}"}
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_a_failed_change_leaves_the_image_as_it_was(tmp_path, monkeypatch, mutation):
     change = MUTATIONS[mutation]
     img = make_image(tmp_path)
-    payloads = {img.add_partition(b"A" * 1000, name="a", **DATA_CODES): b"A" * 1000,
-                img.add_partition(b"{}", name="b", **DATA_CODES): b"{}"}
+    payloads = _add_two_partitions(img, mutation)
     before = img.path.read_bytes()
 
     twin = tmp_path / "twin.boxi"
@@ -391,8 +415,7 @@ def test_a_failed_change_leaves_the_image_as_it_was(tmp_path, monkeypatch, mutat
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_a_change_through_a_symlink_rewrites_its_target(tmp_path, mutation):
     real = make_image(tmp_path)
-    real.add_partition(b"A" * 1000, name="a", **DATA_CODES)
-    real.add_partition(b"{}", name="b", **DATA_CODES)
+    _add_two_partitions(real, mutation)
     (tmp_path / "links").mkdir()
     link = tmp_path / "links" / "img.boxi"
     link.symlink_to(real.path)
@@ -406,8 +429,7 @@ def test_a_change_through_a_symlink_rewrites_its_target(tmp_path, mutation):
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_a_change_keeps_the_permission_bits(tmp_path, mutation):
     img = make_image(tmp_path)
-    img.add_partition(b"A" * 1000, name="a", **DATA_CODES)
-    img.add_partition(b"{}", name="b", **DATA_CODES)
+    _add_two_partitions(img, mutation)
     img.path.chmod(0o640)
     MUTATIONS[mutation](img)
     assert stat.S_IMODE(img.path.stat().st_mode) == 0o640

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import hashlib
+import json
 import uuid as uuidlib
 
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from boxi.archive import decode, extract_dir
+from boxi.document import canonical_json, plain
 from boxi.errors import (
     InvalidName,
     IoError,
@@ -117,48 +118,65 @@ def test_missing_base_is_a_document_level_error():
     assert info.value.line == 0
 
 
-def test_manifest_text_is_sorted_and_lf_terminated():
+def test_manifest_bytes_are_its_canonical_json(tmp_path):
+    write_app_sources(tmp_path)
+    img = build_app_image(parse_recipe(FULL_RECIPE), "app",
+                          tmp_path / "app.boxi", source_root=tmp_path)
+    (record,) = read_descriptors(img.path)
+    stored = {e.path: e.content for e in decode(record["payload"])}[MANIFEST_PATH]
     manifest = SoftwareManifest(
         base="ubuntu:16.04",
-        packages=["z-last", "a-first"],
-        environment=[("B", "2"), ("A", "1")],
+        packages=["gnuplot", "r-base=3.2.3"],
+        environment=[("LC_ALL", "C"), ("THREADS", "4")],
         runscript="plot.py",
     )
-    assert manifest.to_text() == (
-        "base=ubuntu:16.04\n"
-        "env.0000=B=2\n"
-        "env.0001=A=1\n"
-        "pkg.0000=z-last\n"
-        "pkg.0001=a-first\n"
-        "runscript=plot.py\n"
-    )
+    assert stored == canonical_json(plain(manifest)) == manifest.to_json()
+    assert list(json.loads(stored)) == ["base", "packages", "environment", "runscript"]
 
 
-def test_manifest_hash_is_sha256_of_the_text():
-    manifest = SoftwareManifest("alpine", ["curl"], [], "go.sh")
-    expected = hashlib.sha256(manifest.to_text().encode("utf-8")).hexdigest()
-    assert manifest.manifest_hash == expected
+_MANIFEST = {"base": "a", "packages": [], "environment": [], "runscript": "r"}
 
 
-def test_manifest_hash_tracks_content():
-    one = SoftwareManifest("alpine", ["a", "b"], [], "go.sh")
-    same = SoftwareManifest("alpine", ["a", "b"], [], "go.sh")
-    swapped = SoftwareManifest("alpine", ["b", "a"], [], "go.sh")
-    assert one.manifest_hash == same.manifest_hash
-    assert one.manifest_hash != swapped.manifest_hash
+@pytest.mark.parametrize("doc", [
+    {key: _MANIFEST[key] for key in ("packages", "environment", "runscript")},
+    {key: _MANIFEST[key] for key in ("base", "packages", "environment")},
+    {**_MANIFEST, "mystery": 1},
+    [],
+    {**_MANIFEST, "base": 1},
+    {**_MANIFEST, "runscript": None},
+    {**_MANIFEST, "packages": "gnuplot"},
+    {**_MANIFEST, "packages": [["gnuplot"]]},
+    {**_MANIFEST, "environment": {"A": "v"}},
+    {**_MANIFEST, "environment": ["A=v"]},
+    {**_MANIFEST, "environment": [["A"]]},
+    {**_MANIFEST, "environment": [["A", "v", "w"]]},
+    {**_MANIFEST, "environment": [["A", 1]]},
+], ids=["no-base", "no-runscript", "extra-key", "not-an-object", "int-base",
+        "null-runscript", "string-packages", "nested-package", "object-environment",
+        "unpaired-entry", "short-entry", "long-entry", "int-value"])
+def test_manifest_from_json_rejects_malformed_input(doc):
+    with pytest.raises(RecipeParseError) as info:
+        SoftwareManifest.from_json(json.dumps(doc).encode("utf-8"))
+    assert info.value.line == 0
 
 
-@pytest.mark.parametrize("text", [
-    "not a key value line\n",
-    "runscript=go\n",                      # no base
-    "base=alpine\n",                       # no runscript
-    "base=a\nrunscript=r\nenv.0000=NOSEP\n",
-    "base=a\nrunscript=r\nmystery=1\n",
-    "base=a\nrunscript=r\npkg.x=1\n",
-])
-def test_manifest_from_text_rejects_malformed_input(text):
-    with pytest.raises(RecipeParseError):
-        SoftwareManifest.from_text(text)
+@pytest.mark.parametrize("raw, line", [
+    (b"", 1),
+    (b"base=a\nrunscript=r\n", 1),
+    (b'{\n  "base": "a",\n  "packages": [,]\n}\n', 3),
+    (b"[" * 100_000 + b"]" * 100_000, 0),
+], ids=["empty", "key-value-lines", "syntax-error", "nested-100000-deep"])
+def test_manifest_that_is_not_json_fails_at_its_line(raw, line):
+    with pytest.raises(RecipeParseError) as info:
+        SoftwareManifest.from_json(raw)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("runscript", ["/abs/tool.sh", "../up.sh", "a/../../b.sh", "", ".",
+                                       "\ud800.sh"])
+def test_manifest_from_json_rejects_a_runscript_outside_the_image(runscript):
+    with pytest.raises(NoRunscript):
+        SoftwareManifest.from_json(json.dumps({**_MANIFEST, "runscript": runscript}).encode())
 
 
 @pytest.mark.parametrize("raw, line", [
@@ -172,16 +190,19 @@ def test_text_that_is_not_utf8_fails_at_its_line(raw, line):
     assert info.value.line == line
 
 
-@pytest.mark.parametrize("manifest", [
-    SoftwareManifest("al\rpine", [], [], "go.sh"),
-    SoftwareManifest("alpine", ["cu rl"], [], "go.sh"),
-    SoftwareManifest("alpine", [], [("A\nB", "v")], "go.sh"),
-    SoftwareManifest("alpine", [], [("A", "v\x0c")], "go.sh"),
-    SoftwareManifest("alpine", [], [("A=B", "v")], "go.sh"),
-])
-def test_manifest_rejects_fields_that_break_line_structure(manifest):
+@pytest.mark.parametrize("name, value", [
+    ("A=B", "v"), ("A\x00B", "v"), ("A", "v\x00w"), ("A", "v\ud800"),
+], ids=["equals-in-name", "nul-in-name", "nul-in-value", "surrogate-in-value"])
+def test_an_environment_that_cannot_reach_a_process_is_refused(tmp_path, name, value):
+    write_app_sources(tmp_path)
+    recipe = Recipe(base="alpine", files=[("plot.py", "/plot.py")],
+                    environment=[(name, value)], runscript="/plot.py")
     with pytest.raises(InvalidName):
-        manifest.to_text()
+        build_app_image(recipe, "app", tmp_path / "app.boxi", source_root=tmp_path)
+    assert not (tmp_path / "app.boxi").exists()
+    stored = json.dumps({**_MANIFEST, "environment": [[name, value]]}).encode()
+    with pytest.raises(RecipeParseError):
+        SoftwareManifest.from_json(stored)
 
 
 def test_pack_data_dir_layout(tmp_path):
@@ -254,7 +275,7 @@ def test_build_app_image_layout(tmp_path):
     assert by_path["lib"].is_dir
     assert by_path["plot.py"].mode & 0o111  # executable bit carried over
 
-    manifest = SoftwareManifest.from_text(by_path[".manifest"].content.decode("utf-8"))
+    manifest = SoftwareManifest.from_json(by_path[".manifest"].content)
     assert manifest.base == "ubuntu:16.04"
     assert manifest.packages == ["gnuplot", "r-base=3.2.3"]
     assert manifest.environment == [("LC_ALL", "C"), ("THREADS", "4")]
@@ -290,6 +311,16 @@ def test_build_rejects_reserved_manifest_path(tmp_path):
         build_app_image(recipe, "app", tmp_path / "app.boxi", source_root=tmp_path)
 
 
+def test_an_image_path_with_nul_is_refused(tmp_path):
+    write_app_sources(tmp_path)
+    recipe = Recipe(base="alpine", files=[("plot.py", "/plot\x00.py")],
+                    runscript="/plot\x00.py")
+    with pytest.raises(InvalidName, match="NUL"):
+        build_app_image(recipe, "app", tmp_path / "app.boxi", source_root=tmp_path)
+    with pytest.raises(InvalidName, match="NUL"):
+        pack_empty_output("Out\x00puts", "output", tmp_path / "output.boxi")
+
+
 def test_build_rejects_colliding_image_paths(tmp_path):
     (tmp_path / "a.txt").write_text("a")
     (tmp_path / "b.txt").write_text("b")
@@ -310,27 +341,25 @@ def test_build_rejects_file_shadowing_a_directory(tmp_path):
         build_app_image(recipe, "app", tmp_path / "app.boxi", source_root=tmp_path)
 
 
-# Every line boundary str.splitlines recognizes; the codec rejects them all.
-_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85  "
+# Any text at all, except what the environment and runscript rules forbid.
+def _text(forbidden: str = "", min_size: int = 0):
+    return st.text(alphabet=st.characters(codec="utf-8", exclude_characters=forbidden),
+                   min_size=min_size, max_size=12)
 
-_name = st.text(
-    alphabet=st.characters(codec="utf-8", exclude_characters="=\x00" + _BREAKS),
-    min_size=1, max_size=12)
-_value = st.text(
-    alphabet=st.characters(codec="utf-8", exclude_characters="\x00" + _BREAKS),
-    min_size=0, max_size=12)
+
+_segment = _text("/\x00", min_size=1).filter(lambda s: s not in (".", ".."))
 
 
 @given(
-    base=_name,
-    packages=st.lists(_name, max_size=6),
-    environment=st.lists(st.tuples(_name, _value), max_size=6),
-    runscript=_name,
+    base=_text(),
+    packages=st.lists(_text(), max_size=6),
+    environment=st.lists(st.tuples(_text("=\x00"), _text("\x00")), max_size=6),
+    runscript=st.lists(_segment, min_size=1, max_size=3).map("/".join),
 )
 def test_manifest_round_trips_through_text(base, packages, environment, runscript):
     manifest = SoftwareManifest(base=base, packages=packages,
                                 environment=environment, runscript=runscript)
-    assert SoftwareManifest.from_text(manifest.to_text()) == manifest
+    assert SoftwareManifest.from_json(manifest.to_json()) == manifest
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
