@@ -22,6 +22,10 @@ Each entry:
 
 The root directory itself is not an entry; only its contents are.
 
+encode_pieces checks and sorts the entries, then yields the blob in pieces,
+each file's content as it is, so an image writer can stream a tree into a
+file without joining it first; encode_entries joins the pieces.
+
 decode and extract_dir share one validating walk over a memoryview of the
 blob, which checks every rule above for every entry before either returns
 an entry or writes a file. decode copies each file's content into bytes;
@@ -35,7 +39,7 @@ import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection
+from typing import Collection, Iterator
 
 from .errors import MalformedArchive, UnsupportedEntry
 
@@ -84,12 +88,8 @@ def _check_path(path: str) -> bytes:
     return raw
 
 
-def encode_entries(entries: list[ArchiveEntry]) -> bytes:
-    """Serialize entries into a canonical blob.
-
-    Entries may arrive in any order; they are sorted by UTF-8 path bytes
-    here. Duplicate paths are rejected.
-    """
+def _canonical(entries: list[ArchiveEntry]) -> list[tuple[bytes, ArchiveEntry]]:
+    """Check every entry and sort by UTF-8 path bytes; reject duplicates."""
     keyed = []
     for entry in entries:
         raw = _check_path(entry.path)
@@ -105,20 +105,47 @@ def encode_entries(entries: list[ArchiveEntry]) -> bytes:
     for (a, _), (b, _) in zip(keyed, keyed[1:]):
         if a == b:
             raise MalformedArchive(f"duplicate entry path: {a.decode('utf-8')!r}")
+    return keyed
 
-    parts = [_PREAMBLE.pack(MAGIC, len(keyed))]
+
+def _pieces(keyed: list[tuple[bytes, ArchiveEntry]]) -> Iterator[bytes]:
+    yield _PREAMBLE.pack(MAGIC, len(keyed))
     for raw, entry in keyed:
         content = b"" if entry.content is None else entry.content
-        parts.append(_PATH_LEN.pack(len(raw)))
-        parts.append(raw)
-        parts.append(_ENTRY_HEAD.pack(entry.mode, len(content)))
-        parts.append(content)
-    return b"".join(parts)
+        yield _PATH_LEN.pack(len(raw)) + raw + _ENTRY_HEAD.pack(entry.mode, len(content))
+        if content:
+            yield content
+
+
+def encode_pieces(entries: list[ArchiveEntry]) -> Iterator[bytes]:
+    """The canonical blob of entries, as consecutive pieces.
+
+    Every entry is checked and sorted before this returns, so a bad entry
+    raises here rather than partway through the stream. File contents are
+    yielded as they are, without a copy.
+    """
+    return _pieces(_canonical(entries))
+
+
+def encode_entries(entries: list[ArchiveEntry]) -> bytes:
+    """Serialize entries into a canonical blob.
+
+    Entries may arrive in any order; they are sorted by UTF-8 path bytes
+    here. Duplicate paths are rejected.
+    """
+    return b"".join(encode_pieces(entries))
 
 
 def _scan_tree(root: Path, prefix: str) -> list[ArchiveEntry]:
+    named = []
+    for child in root.iterdir():
+        try:
+            named.append((child.name.encode("utf-8"), child))
+        except UnicodeEncodeError:
+            raise UnsupportedEntry(
+                f"cannot archive {prefix + child.name!r}: name is not UTF-8") from None
     entries: list[ArchiveEntry] = []
-    for child in sorted(root.iterdir(), key=lambda p: p.name.encode("utf-8")):
+    for _, child in sorted(named, key=lambda pair: pair[0]):
         rel = f"{prefix}{child.name}"
         st = child.lstat()
         if stat.S_ISDIR(st.st_mode):
@@ -135,7 +162,8 @@ def scan_dir(root: Path | str, prefix: str = "") -> list[ArchiveEntry]:
     """Collect entries for every file and directory under root.
 
     prefix, when given, is prepended to every path (it must end in "/").
-    Symlinks, sockets, and devices raise UnsupportedEntry.
+    Symlinks, sockets, devices, and names that are not UTF-8 raise
+    UnsupportedEntry.
     """
     root = Path(root)
     if not root.is_dir():

@@ -27,8 +27,9 @@ from .image import (
 from .packager import (Recipe, build_app_image, pack_data_dir, pack_empty_output,
                        parse_recipe, utf8_text)
 from .provenance import (RecordTrail, _trail_payload, assemble_record_trail,
-                         attach_metadata)
-from .runtime import MODES, ZERO_COPY, load_workflow, run_workflow, workflow_from_mapping
+                         trail_partition)
+from .runtime import (MODES, ZERO_COPY, ExecutionReport, load_workflow, run_workflow,
+                      workflow_from_mapping)
 from .standins import SLEEPER, write_script
 
 
@@ -169,13 +170,16 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = load_workflow(args.workflow)
-    report = run_workflow(spec, args.mode)
+
+    def trail(report: ExecutionReport, output_id: str, modified_at: int) -> bytes:
+        return assemble_record_trail(spec, report, output_id, modified_at).to_json()
+
+    report = run_workflow(spec, args.mode, None if args.no_trail else trail)
     attached = []
     if not args.no_trail:
         for write in report.outputs_written:
-            trail = assemble_record_trail(spec, report, write.component_id)
             with BoxImage.open(spec.component(write.component_id).image) as image:
-                partition_id = attach_metadata(image, trail)
+                partition_id = trail_partition(image).partition_id
             attached.append({"component_id": write.component_id,
                              "partition_id": partition_id})
     if args.json:

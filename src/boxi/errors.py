@@ -59,7 +59,8 @@ class MalformedArchive(BoxiError):
 
 
 class UnsupportedEntry(BoxiError):
-    """A directory tree holds something other than regular files and dirs."""
+    """A directory tree holds something other than regular files and dirs,
+    or a name that is not UTF-8."""
 
 
 # --- packaging ---------------------------------------------------------------

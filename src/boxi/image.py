@@ -35,14 +35,19 @@ A FIFO is rejected before anything is read from it.
 A payload is read, and its checksum verified, only when it is dumped or
 carried forward by a change.
 
-An image file is written whole or not at all. Creating an image writes
-header, payloads and table to the new file in one pass; a path that is
-not a regular file, such as a FIFO, is refused first. Every later change
-(add, delete, update) verifies the payloads it keeps, writes the whole image
-with its payloads back to back to a temp file beside it, fsyncs that file
+An image file is written whole or not at all, by one writer. It takes
+one source per partition: new bytes, consecutive byte pieces (such as an
+archive encoded on the fly), or a payload kept from the image's current
+file, which is copied in chunks of at most CHUNK_BYTES and checked against
+its checksum on the way, so no kept payload is held whole. Each payload is
+hashed as it is written; the descriptor table follows the payloads, and the
+header, which points at the table, is written last. Creating an image
+writes the new file this way; a path that is not a regular file, such as a
+FIFO, is refused first. Every later change (add, delete, update, storing
+metadata) writes the whole image to a temp file beside it, fsyncs that file
 and renames it over the old one, so a crash leaves either the old image or
 the new one. The rewritten file keeps the permission bits of the one it
-replaces.
+replaces. A payload that a change replaces or drops is never read.
 """
 
 from __future__ import annotations
@@ -54,10 +59,11 @@ import struct
 import tempfile
 import time
 import uuid as uuidlib
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     CorruptPartition,
@@ -121,6 +127,15 @@ ARCH_NAMES = {
 }
 
 NAME_FIELD_BYTES = 64
+
+METADATA_PARTITION_NAME = "metadata"
+
+# A kept payload is copied forward in reads of at most this many bytes.
+CHUNK_BYTES = 1 << 20
+
+# What a changed partition's payload comes from: bytes, consecutive byte
+# pieces, or a function of the commit's modified-at time returning bytes.
+Source = Union[bytes, Iterable[bytes], Callable[[int], bytes]]
 
 
 def iso_utc(epoch_seconds: int) -> str:
@@ -191,11 +206,17 @@ class NewPartition:
     name: str
 
 
+_METADATA = NewPartition(b"", datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
+                         parttype=PART_METADATA, arch=ARCH_ANY,
+                         name=METADATA_PARTITION_NAME)
+
+
 def _new_descriptor(existing: list[PartitionDescriptor], image_name: str,
                     new: NewPartition) -> PartitionDescriptor:
-    """Validate a new partition and give it the next free id.
+    """Validate a new partition's codes and name and give it the next free id.
 
-    Its payload offset is left at 0 until _laid_out places it.
+    Its payload is not looked at: the writer fills in offset, size and
+    checksum as it writes the payload.
     """
     _checked_codes(new.datatype, new.fstype, new.parttype, new.arch)
     _checked_name(new.name, "partition")
@@ -204,23 +225,12 @@ def _new_descriptor(existing: list[PartitionDescriptor], image_name: str,
         raise DuplicatePrimary(f"{image_name} already holds a primary partition")
     pid = max((p.partition_id for p in existing), default=0) + 1
     return PartitionDescriptor(
-        pid, new.datatype, new.fstype, new.parttype, new.arch, new.name,
-        0, len(new.payload), hashlib.sha256(new.payload).digest())
+        pid, new.datatype, new.fstype, new.parttype, new.arch, new.name, 0, 0, b"")
 
 
 def _open_nonblocking(path: str, flags: int) -> int:
     """Open without waiting for a FIFO's other end, so that it can be rejected."""
     return os.open(path, flags | os.O_NONBLOCK)
-
-
-def _laid_out(partitions: list[PartitionDescriptor]) -> list[PartitionDescriptor]:
-    """Place the payloads back to back after the header."""
-    placed: list[PartitionDescriptor] = []
-    offset = HEADER_SIZE
-    for part in partitions:
-        placed.append(replace(part, payload_offset=offset))
-        offset += part.payload_size
-    return placed
 
 
 class BoxImage:
@@ -256,18 +266,17 @@ class BoxImage:
             raise InvalidName(f"image name contains '/': {name!r}")
         target = Path(path) if path is not None else Path(f"{name}.boxi")
         descriptors: list[PartitionDescriptor] = []
-        payloads: dict[int, bytes] = {}
         for new in partitions:
-            part = _new_descriptor(descriptors, name, new)
-            descriptors.append(part)
-            payloads[part.partition_id] = new.payload
+            descriptors.append(_new_descriptor(descriptors, name, new))
         now = int(time.time())
-        image = cls(target, uuidlib.uuid4(), now, now, _laid_out(descriptors))
+        image = cls(target, uuidlib.uuid4(), now, now, [])
         try:
             with open(target, "wb", opener=_open_nonblocking) as fh:
                 if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                     raise IoError(f"cannot create image at {target}: not a regular file")
-                image._write(fh, now, image._partitions, payloads)
+                image._partitions = image._write(fh, now, descriptors, {
+                    part.partition_id: new.payload
+                    for part, new in zip(descriptors, partitions)})
         except OSError as exc:
             raise IoError(f"cannot create image at {target}: {exc}") from exc
         return image
@@ -397,17 +406,39 @@ class BoxImage:
         part = self.descriptor(partition_id)
         self._commit([p for p in self._partitions if p is not part], {})
 
-    def update_partition(self, partition_id: int, payload: bytes) -> None:
+    def update_partition(self, partition_id: int,
+                         payload: bytes | Iterable[bytes]) -> None:
         """Replace a payload, keeping id, codes, and name.
 
-        The whole image is rewritten and swapped in atomically; see _commit.
+        payload is bytes or consecutive byte pieces; the old payload is
+        never read. The whole image is rewritten and swapped in atomically;
+        see _commit.
         """
         self._ensure_open()
-        part = self.descriptor(partition_id)
-        updated = replace(part, payload_size=len(payload),
-                          checksum=hashlib.sha256(payload).digest())
-        self._commit([updated if p is part else p for p in self._partitions],
-                     {partition_id: payload})
+        self.descriptor(partition_id)
+        self._commit(list(self._partitions), {partition_id: payload})
+
+    def store_metadata(self, payload: bytes | Callable[[int], bytes],
+                       changed: Mapping[int, Source] | None = None) -> int:
+        """Make payload the image's single metadata partition and return its id.
+
+        An image holding exactly one metadata partition keeps its id, and
+        the old payload is never read. Otherwise any stray metadata
+        partitions are dropped and the payload is added with the next free
+        id. The payloads in changed, keyed by partition id, are replaced in
+        the same commit. payload may be a function of that commit's
+        modified-at time, so that it can name the header it is stored under.
+        """
+        self._ensure_open()
+        existing = self.find(parttype=PART_METADATA)
+        if len(existing) == 1:
+            partitions, pid = list(self._partitions), existing[0].partition_id
+        else:
+            kept = [part for part in self._partitions if part not in existing]
+            added = _new_descriptor(kept, self.name, _METADATA)
+            partitions, pid = [*kept, added], added.partition_id
+        self._commit(partitions, {**(changed or {}), pid: payload})
+        return pid
 
     def close(self) -> None:
         """Invalidate the handle. Every change is already on disk."""
@@ -426,33 +457,76 @@ class BoxImage:
             raise IoError(f"{self.name}: image handle is closed")
 
     def _write(self, fh: BinaryIO, modified_at: int,
-               partitions: list[PartitionDescriptor], payloads: dict[int, bytes]) -> None:
-        """Write a whole image: header, laid-out payloads, descriptor table."""
-        table_offset = HEADER_SIZE + sum(part.payload_size for part in partitions)
+               partitions: list[PartitionDescriptor],
+               changed: Mapping[int, bytes | Iterable[bytes]]) -> list[PartitionDescriptor]:
+        """Write a whole image to fh; return its partitions as placed.
+
+        A partition whose id is in changed gets that payload, as bytes or as
+        consecutive byte pieces. Any other keeps its payload from this
+        image's current file, read in chunks of at most CHUNK_BYTES and
+        verified as it is copied. Payloads go back to back after the header
+        and are hashed as they are written; the descriptor table follows,
+        and the header is written last.
+        """
+        fh.seek(HEADER_SIZE)
+        placed: list[PartitionDescriptor] = []
+        offset = HEADER_SIZE
+        with ExitStack() as stack:
+            current: BinaryIO | None = None
+            for part in partitions:
+                if part.partition_id in changed:
+                    source = changed[part.partition_id]
+                    pieces = [source] if isinstance(source, (bytes, bytearray)) else source
+                else:
+                    if current is None:
+                        current = stack.enter_context(open(self.path, "rb"))
+                    pieces = self._chunks(current, part)
+                digest, size = hashlib.sha256(), 0
+                for piece in pieces:
+                    fh.write(piece)
+                    digest.update(piece)
+                    size += len(piece)
+                if part.partition_id not in changed and digest.digest() != part.checksum:
+                    raise CorruptPartition(
+                        f"{self.name}: partition {part.partition_id} fails its checksum")
+                placed.append(replace(part, payload_offset=offset, payload_size=size,
+                                      checksum=digest.digest()))
+                offset += size
+        fh.write(b"".join(part.pack() for part in placed))
+        fh.seek(0)
         fh.write(_HEADER.pack(
             MAGIC, FORMAT_VERSION, self.uuid.bytes, self.created_at, modified_at,
-            len(partitions), table_offset, HEADER_SIZE))
-        for part in partitions:
-            fh.write(payloads[part.partition_id])
-        fh.write(b"".join(part.pack() for part in partitions))
+            len(placed), offset, HEADER_SIZE))
+        return placed
+
+    def _chunks(self, fh: BinaryIO, part: PartitionDescriptor) -> Iterator[bytes]:
+        """A partition's payload in this image's file, in reads of at most CHUNK_BYTES."""
+        fh.seek(part.payload_offset)
+        left = part.payload_size
+        while left:
+            chunk = fh.read(min(left, CHUNK_BYTES))
+            if not chunk:
+                raise TruncatedImage(f"{self.name}: partition {part.partition_id} cut short")
+            left -= len(chunk)
+            yield chunk
 
     def _commit(self, partitions: list[PartitionDescriptor],
-                changed: dict[int, bytes]) -> None:
+                changed: Mapping[int, Source]) -> None:
         """Make partitions the image's whole content, atomically.
 
-        changed maps ids to new payloads; every other payload is read back
-        and verified first, so a corrupt partition is never copied forward.
-        The image is written to a temp file beside it, fsynced, and renamed
-        over it with the old file's permission bits; a symlinked path is
-        followed, so the link stays a link. The handle takes the new state
-        only once the rename is done.
+        changed maps ids to their new sources; a source that is a function
+        is called with the commit's modified-at time, before anything is
+        written. Every other payload is streamed from the old file and
+        verified as it is copied, so a corrupt partition is never carried
+        forward and no kept payload is held whole. The image is written to
+        a temp file beside it, fsynced, and renamed over it with the old
+        file's permission bits; a failure removes the temp file. A
+        symlinked path is followed, so the link stays a link. The handle
+        takes the new state only once the rename is done.
         """
-        payloads = {part.partition_id: changed[part.partition_id]
-                    if part.partition_id in changed
-                    else self.dump_partition(part.partition_id)
-                    for part in partitions}
-        placed = _laid_out(partitions)
         modified_at = max(int(time.time()), self.modified_at)
+        payloads = {pid: source(modified_at) if callable(source) else source
+                    for pid, source in changed.items()}
         target = self.path.resolve()
         try:
             mode = stat.S_IMODE(os.stat(target).st_mode)
@@ -461,7 +535,7 @@ class BoxImage:
             try:
                 with open(fd, "wb") as fh:
                     os.fchmod(fh.fileno(), mode)
-                    self._write(fh, modified_at, placed, payloads)
+                    placed = self._write(fh, modified_at, partitions, payloads)
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(temp_name, target)

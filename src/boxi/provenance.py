@@ -1,11 +1,17 @@
 """Assemble record trails and collocate them inside output images.
 
-After a run, each written output gets a trail: the static metadata (name,
-UUID, creation and modification date) of every component that produced it,
+Each output a run writes gets a trail: the static metadata (name, UUID,
+creation and modification date) of every component that produced it,
 walked backwards one level — the applications that wrote into the output,
 the inputs bound into those applications, and the output itself. The trail
 is serialized as canonical JSON and stored as a json-generic metadata
 partition of the output image, so the data carries its own history.
+
+`boxi run` hands run_workflow a function that renders each trail from the
+modified-at time of the commit that stores it, so the new data partition
+and its trail are written in one rewrite of the output, and the trail's
+output record names the header it is stored under. attach_metadata stores
+a trail on its own, in one rewrite too.
 
 The trail is written in the canonical JSON form defined in document.py.
 Its keys are the fields of RecordTrail and ComponentRecord, in order:
@@ -27,18 +33,15 @@ from __future__ import annotations
 
 import json
 import uuid as uuidlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .document import Document, canonical_json  # noqa: F401  (re-exported)
 from .errors import MalformedTrail, NoMetadataPartition, NotAnOutputOfRun
-from .image import (
-    ARCH_ANY,
-    DATA_JSON,
-    FS_ARCHIVE_RO,
+from .image import (  # noqa: F401  (METADATA_PARTITION_NAME re-exported)
+    METADATA_PARTITION_NAME,
     PART_METADATA,
     BoxImage,
-    NewPartition,
-    _new_descriptor,
+    PartitionDescriptor,
     iso_utc,
 )
 from .runtime import (
@@ -51,8 +54,6 @@ from .runtime import (
 )
 
 SCHEMA_VERSION = 1
-
-METADATA_PARTITION_NAME = "metadata"
 
 
 @dataclass(frozen=True)
@@ -152,12 +153,14 @@ def capture_static_metadata(image: BoxImage, role: str) -> ComponentRecord:
 
 
 def assemble_record_trail(spec: WorkflowSpec, report: ExecutionReport,
-                          output_id: str) -> RecordTrail:
+                          output_id: str, modified_at: int | None = None) -> RecordTrail:
     """Build the trail for one output written by the reported run.
 
     Backward traversal, one level: the applications whose invocations wrote
     into the output, then every input bound into those applications.
     Ordering is inputs (by name), applications (by name), output last.
+    modified_at, when given, is recorded as the output's modification time
+    in place of its header's: that of the commit the trail is stored in.
     """
     spec.component(output_id)  # raises UnknownComponent when absent
     if output_id not in {ow.component_id for ow in report.outputs_written}:
@@ -180,6 +183,8 @@ def assemble_record_trail(spec: WorkflowSpec, report: ExecutionReport,
         return [rec for rec, _ in records]
 
     output_record = record_for(output_id, ROLE_OUTPUT)
+    if modified_at is not None:
+        output_record = replace(output_record, modified=iso_utc(modified_at))
     trail = (ordered(input_ids, ROLE_INPUT)
              + ordered(writer_apps, ROLE_APPLICATION)
              + [output_record])
@@ -205,34 +210,28 @@ def assemble_record_trail(spec: WorkflowSpec, report: ExecutionReport,
 def attach_metadata(image: BoxImage, trail: RecordTrail) -> int:
     """Store the trail as the image's single metadata partition.
 
-    An existing metadata partition keeps its id and gets the new payload.
-    Otherwise the trail is added, and any stray metadata partitions are
-    dropped in the same rewrite. Either way the image is rewritten whole,
-    once, and swapped in atomically. Returns the partition id holding the
-    trail.
+    An existing metadata partition keeps its id and gets the new payload,
+    without its old one being read. Otherwise the trail is added, and any
+    stray metadata partitions are dropped. Either way the image is
+    rewritten whole, once, and swapped in atomically; see
+    BoxImage.store_metadata. Returns the partition id holding the trail.
     """
-    payload = trail.to_json()
-    existing = image.find(parttype=PART_METADATA)
-    if len(existing) == 1:
-        pid = existing[0].partition_id
-        image.update_partition(pid, payload)
-        return pid
-    kept = [part for part in image.partitions if part not in existing]
-    part = _new_descriptor(kept, image.name, NewPartition(
-        payload, datatype=DATA_JSON, fstype=FS_ARCHIVE_RO, parttype=PART_METADATA,
-        arch=ARCH_ANY, name=METADATA_PARTITION_NAME))
-    image._commit([*kept, part], {part.partition_id: payload})
-    return part.partition_id
+    return image.store_metadata(trail.to_json())
 
 
-def _trail_payload(image: BoxImage) -> bytes:
-    """The stored bytes of an image's single metadata partition, unparsed."""
+def trail_partition(image: BoxImage) -> PartitionDescriptor:
+    """An image's single metadata partition."""
     found = image.find(parttype=PART_METADATA)
     if not found:
         raise NoMetadataPartition(f"{image.name} holds no metadata partition")
     if len(found) > 1:
         raise MalformedTrail(f"{image.name} holds {len(found)} metadata partitions")
-    return image.dump_partition(found[0].partition_id)
+    return found[0]
+
+
+def _trail_payload(image: BoxImage) -> bytes:
+    """The stored bytes of an image's single metadata partition, unparsed."""
+    return image.dump_partition(trail_partition(image).partition_id)
 
 
 def read_trail(image: BoxImage) -> RecordTrail:

@@ -22,6 +22,13 @@ zero-copy the next view would see the change. The direct transfers are
 plans of the same steps with no application. The run directory is created
 under the BOXI_SANDBOX environment variable's directory, or under the
 system temp directory when it is unset, and is always removed at the end.
+
+Repacks run after every exec, so the run's report is complete before any
+output is committed. Each written output is then rewritten once: its new
+data partition is encoded straight into the image file, and, when the
+caller passes a trail function, the output's record trail goes into the
+same commit as its metadata partition, rendered from that commit's
+modified-at time.
 """
 
 from __future__ import annotations
@@ -35,7 +42,9 @@ import tempfile
 import time
 import uuid as uuidlib
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import archive
 from .archive import ArchiveEntry
@@ -427,6 +436,11 @@ class ExecutionReport(Document):
     bindings_used: list[str]
 
 
+# Renders the record trail of one output of the reported run, given the
+# modified-at time of the commit that stores it.
+TrailFunction = Callable[[ExecutionReport, str, int], bytes]
+
+
 def _make_run_dir() -> Path:
     base = Path(os.environ.get(SANDBOX_ENV) or tempfile.gettempdir())
     # Absolute, because runscripts are executed by path with cwd set to the view.
@@ -512,15 +526,17 @@ def _execute(view: Path, app_id: str, argv: tuple[str, ...]) -> InvocationRecord
     )
 
 
-def _run_plan(plan: MountPlan, handles: dict[str, BoxImage]) -> ExecutionReport:
+def _run_plan(plan: MountPlan, handles: dict[str, BoxImage],
+              trail: TrailFunction | None = None) -> ExecutionReport:
     """Run every step of a plan in a fresh run directory, removed at the end.
 
     Each image is opened at most once, through handles keyed by path, and
     closed at the end. Repack steps run last, all steps for one partition
-    through a single update_partition. The link and copy-in mounts of a
-    view are snapshot before and after its exec; a difference raises
-    SandboxError. Otherwise the report is returned even when applications
-    exit nonzero; only infrastructure failures raise.
+    through a single commit, which also stores the output's trail when a
+    trail function is given. The link and copy-in mounts of a view are
+    snapshot before and after its exec; a difference raises SandboxError.
+    Otherwise the report is returned even when applications exit nonzero;
+    only infrastructure failures raise.
     """
     run_dir = _make_run_dir()
 
@@ -571,6 +587,19 @@ def _run_plan(plan: MountPlan, handles: dict[str, BoxImage]) -> ExecutionReport:
                         raise SandboxError(f"{step.op} {step.dst}: {exc}") from exc
 
         written: dict[str, list[int]] = {}
+        for (_, partition_id), steps in repacks.items():
+            for step in steps:
+                written.setdefault(step.component, []).append(partition_id)
+        report = ExecutionReport(
+            label=plan.label,
+            mode=plan.mode,
+            invocations=records,
+            copy_events=plan.copy_events,
+            outputs_written=[OutputWrite(component_id, tuple(sorted(pids)))
+                             for component_id, pids in written.items()],
+            bindings_used=list(plan.bindings_used),
+        )
+
         for (path, partition_id), steps in repacks.items():
             handle = image(path)
             # The subtrees being replaced are verified but never copied;
@@ -581,32 +610,32 @@ def _run_plan(plan: MountPlan, handles: dict[str, BoxImage]) -> ExecutionReport:
                 if not (run_dir / step.src).is_dir():
                     raise SandboxError(f"{step.component}: {step.src} is gone before repack")
                 entries = _replace_subtree(entries, step.inner, run_dir / step.src)
-                written.setdefault(step.component, []).append(partition_id)
-            handle.update_partition(partition_id, archive.encode_entries(entries))
-
-        return ExecutionReport(
-            label=plan.label,
-            mode=plan.mode,
-            invocations=records,
-            copy_events=plan.copy_events,
-            outputs_written=[OutputWrite(component_id, tuple(sorted(pids)))
-                             for component_id, pids in written.items()],
-            bindings_used=list(plan.bindings_used),
-        )
+            pieces = archive.encode_pieces(entries)
+            if trail is None:
+                handle.update_partition(partition_id, pieces)
+            else:
+                handle.store_metadata(partial(trail, report, steps[-1].component),
+                                      {partition_id: pieces})
+        return report
     finally:
         for handle in handles.values():
             handle.close()
         shutil.rmtree(run_dir, ignore_errors=True)
 
 
-def run_workflow(spec: WorkflowSpec, mode: str = ZERO_COPY) -> ExecutionReport:
+def run_workflow(spec: WorkflowSpec, mode: str = ZERO_COPY,
+                 trail: TrailFunction | None = None) -> ExecutionReport:
     """Execute every invocation, repack written outputs, report what happened.
+
+    Each written output is rewritten once. With a trail function, the
+    output's trail, trail(report, output_id, modified_at), is stored as its
+    metadata partition in that same rewrite.
 
     The report is returned even when applications exit nonzero. Only
     infrastructure failures raise, and so does an application that changes
     a readable mount: SandboxError, before anything is repacked.
     """
-    return _run_plan(plan_mounts(spec, mode), {})
+    return _run_plan(plan_mounts(spec, mode), {}, trail)
 
 
 # --- direct transfers -----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import stat
 import struct
 import uuid
@@ -18,6 +19,7 @@ from boxi.archive import (
     decode,
     encode_dir,
     encode_entries,
+    encode_pieces,
     extract_dir,
     scan_dir,
 )
@@ -114,6 +116,14 @@ def test_scan_dir_rejects_symlinks(tmp_path):
         scan_dir(tmp_path)
 
 
+def test_scan_dir_rejects_a_name_that_is_not_utf8(tmp_path):
+    (tmp_path / "sub").mkdir()
+    with open(os.path.join(os.fsencode(tmp_path / "sub"), b"\xff.txt"), "wb") as fh:
+        fh.write(b"x")
+    with pytest.raises(UnsupportedEntry, match="not UTF-8"):
+        scan_dir(tmp_path)
+
+
 def test_scan_dir_rejects_non_directory(tmp_path):
     target = tmp_path / "file"
     target.write_text("x")
@@ -156,6 +166,13 @@ def test_extract_fills_a_read_only_directory(tmp_path, monkeypatch):
 def test_encode_rejects_bad_paths(path):
     with pytest.raises(MalformedArchive):
         encode_entries([ArchiveEntry(path, FILE, b"")])
+
+
+def test_encode_pieces_checks_every_entry_before_the_first_piece():
+    pieces = encode_pieces([ArchiveEntry("a", FILE, b"x"), ArchiveEntry("b", DIR, None)])
+    assert next(pieces) == MAGIC + struct.pack("<I", 2)
+    with pytest.raises(MalformedArchive):
+        encode_pieces([ArchiveEntry("a", FILE, b"x"), ArchiveEntry("../b", FILE, b"")])
 
 
 def test_encode_rejects_duplicate_paths():
@@ -312,6 +329,15 @@ def test_round_trip_returns_canonical_entries(tree):
     entries = _tree_entries(tree)
     decoded = decode(encode_entries(entries))
     assert decoded == sorted(entries, key=lambda e: e.path.encode("utf-8"))
+
+
+@given(_trees)
+def test_pieces_join_to_the_blob_and_keep_file_contents_whole(tree):
+    entries = _tree_entries(tree)
+    pieces = list(encode_pieces(entries))
+    assert b"".join(pieces) == encode_entries(entries)
+    contents = [e.content for e in entries if e.content]
+    assert sorted(p for p in pieces if any(p is c for c in contents)) == sorted(contents)
 
 
 @given(_trees)

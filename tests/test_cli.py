@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import stat
 import subprocess
 import sys
+import time
 import uuid as uuidlib
 from pathlib import Path
 
 import pytest
 
-from boxi import cli, errors, standins
+import boxi.image as image_mod
+from boxi import cli, errors, scenarios, standins
 from boxi.archive import ArchiveEntry, encode_entries
 from boxi.cli import main
 from boxi.image import (
@@ -28,10 +31,11 @@ from boxi.image import (
     iso_utc,
 )
 from boxi.packager import SoftwareManifest
-from boxi.provenance import read_trail
+from boxi.provenance import canonical_json, read_trail
 from boxi.runtime import load_workflow, run_workflow
 
-from .oracles import read_descriptors, read_header
+from .oracles import mask_trail, read_descriptors, read_header
+from .test_image import _raise_oserror, _WriteFaults
 
 PACK = "pack"
 
@@ -626,3 +630,138 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert image.exists()
     uuidlib.UUID(proc.stdout.strip())
+
+
+# --- one commit per output --------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("number", [1, 2, 3, 4])
+def test_run_stores_the_golden_trails(tmp_path, capsys, number):
+    flow = scenarios.build_scenario(number, tmp_path / f"scenario{number}")
+    assert main(["run", str(flow)]) == 0
+    capsys.readouterr()
+    for golden in sorted(GOLDEN.glob(f"scenario{number}-*.json")):
+        image = flow.parent / (golden.stem.split("-", 1)[1] + ".boxi")
+        assert [r["parttype"] for r in read_descriptors(image)] == [3, 4]
+        with BoxImage.open(image) as opened:
+            stored = read_trail(opened).to_mapping()
+        assert canonical_json(mask_trail(stored)) == golden.read_bytes(), golden.name
+
+
+@pytest.mark.parametrize("mode", ["zero-copy", "two-copy"])
+def test_the_trail_names_the_header_it_is_stored_under(workbench, monkeypatch, capsys, mode):
+    flow = identity_workflow(workbench)
+    ticks = itertools.count(int(time.time()))
+    monkeypatch.setattr(time, "time", lambda: float(next(ticks)))
+    output = workbench.root / "output.boxi"
+    for _ in range(2):  # the first run adds the trail, the second replaces it
+        assert main(["run", flow, "--mode", mode]) == 0
+        trail = json.loads(next(r["payload"] for r in read_descriptors(output)
+                                if r["parttype"] == 4))
+        modified = iso_utc(read_header(output)["modified"])
+        assert trail["output"]["modified"] == modified
+        assert trail["record_trail"][-1]["modified"] == modified
+
+
+class _Syscalls:
+    """Counts os.replace calls onto one path and every os.fsync."""
+
+    def __init__(self, monkeypatch, target: Path):
+        self.replaced = self.fsynced = 0
+        replace, fsync = os.replace, os.fsync
+
+        def counted_replace(src, dst, *args, **kwargs):
+            self.replaced += Path(dst) == target
+            return replace(src, dst, *args, **kwargs)
+
+        def counted_fsync(fd):
+            self.fsynced += 1
+            return fsync(fd)
+
+        monkeypatch.setattr(image_mod.os, "replace", counted_replace)
+        monkeypatch.setattr(image_mod.os, "fsync", counted_fsync)
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-trail"]], ids=["trail", "no-trail"])
+def test_run_rewrites_each_output_once(workbench, monkeypatch, capsys, flags):
+    flow = identity_workflow(workbench)
+    output = (workbench.root / "output.boxi").resolve()
+    for _ in range(2):  # the first run adds the trail, the second replaces it
+        with monkeypatch.context() as patch:
+            calls = _Syscalls(patch, output)
+            assert main(["run", flow, *flags]) == 0
+        assert (calls.replaced, calls.fsynced) == (1, 1)
+    kinds = [r["parttype"] for r in read_descriptors(output)]
+    assert kinds == ([3] if flags else [3, 4])
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["first-run", "rerun"])
+def test_a_failed_run_commit_leaves_the_output_as_it_was(workbench, monkeypatch, capsys,
+                                                         rerun):
+    flow = identity_workflow(workbench)
+    output = workbench.root / "output.boxi"
+    if rerun:
+        assert main(["run", flow]) == 0
+    before = output.read_bytes()
+    with monkeypatch.context() as patch:
+        counter = _WriteFaults(patch, fail_at=0)
+        assert main(["run", flow]) == 0
+    assert counter.writes >= 4  # header, data pieces, trail and table
+    output.write_bytes(before)
+
+    faults = [("write", n) for n in range(1, counter.writes + 1)]
+    faults += [("fsync", None), ("replace", None)]
+    for fault, n in faults:
+        with monkeypatch.context() as patch:
+            if fault == "write":
+                _WriteFaults(patch, fail_at=n)
+            else:
+                patch.setattr(image_mod.os, fault, _raise_oserror)
+            assert main(["run", flow]) == errors.IoError.exit_code
+        where = f"{fault} {n or ''}"
+        assert output.read_bytes() == before, where
+        assert list(workbench.root.glob(".output.boxi.*")) == [], where
+    capsys.readouterr()
+
+
+NON_UTF8_WRITER = """#!/usr/bin/env python3
+import os
+import sys
+
+with open(os.path.join(os.fsencode(sys.argv[1]), b"\\xff.txt"), "wb") as fh:
+    fh.write(b"x")
+"""
+
+
+def test_pack_refuses_a_file_name_that_is_not_utf8(tmp_path, capsys):
+    source = tmp_path / "Data"
+    source.mkdir()
+    (source / "ok.txt").write_bytes(b"fine")
+    with open(os.path.join(os.fsencode(source), b"\xff.txt"), "wb") as fh:
+        fh.write(b"x")
+    assert main([PACK, str(source), str(tmp_path / "data.boxi")]) == \
+        errors.UnsupportedEntry.exit_code
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "data.boxi").exists()
+
+
+@pytest.mark.parametrize("mode", ["zero-copy", "two-copy"])
+def test_run_refuses_an_output_file_name_that_is_not_utf8(workbench, capsys, mode):
+    workbench.app_image(NON_UTF8_WRITER)
+    output = workbench.output_image()
+    flow = workbench.root / "workflow.json"
+    flow.write_text(json.dumps({
+        "label": "non-utf8",
+        "components": [
+            {"id": "app", "role": "application", "image": "app.boxi"},
+            {"id": "out", "role": "output", "image": "output.boxi"},
+        ],
+        "bindings": [{"source": "out:/Outputs", "target": "app:/Outputs"}],
+        "invocations": [{"app": "app", "argv": ["Outputs"]}],
+    }))
+    before = output.read_bytes()
+    assert main(["run", str(flow), "--mode", mode]) == errors.UnsupportedEntry.exit_code
+    assert "not UTF-8" in capsys.readouterr().err
+    assert output.read_bytes() == before

@@ -476,6 +476,49 @@ class _ReadCounter(_WrappedFile):
         return data
 
 
+KEPT_BYTES = 4 * image_mod.CHUNK_BYTES + 1
+META_CODES = dict(datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
+                  parttype=PART_METADATA, arch=ARCH_ANY)
+BESIDE_A_KEPT_PARTITION = {
+    "add": lambda img: img.add_partition(b"new payload", name="new", **DATA_CODES),
+    "delete": lambda img: img.delete_partition(2),
+    "update": lambda img: img.update_partition(2, b"replacement"),
+    "replace-metadata": lambda img: img.store_metadata(b"new trail"),
+}
+
+
+@pytest.mark.parametrize("change", sorted(BESIDE_A_KEPT_PARTITION))
+def test_a_change_copies_a_kept_payload_in_bounded_reads(tmp_path, monkeypatch, change):
+    kept = bytes(range(256)) * (KEPT_BYTES // 256) + b"!" * (KEPT_BYTES % 256)
+    codes = META_CODES if change == "replace-metadata" else DATA_CODES
+    img = BoxImage.create("img", tmp_path / "img.boxi", [
+        NewPartition(kept, name="kept", **DATA_CODES),
+        NewPartition(b"old payload", name="other", **codes)])
+    counts: list[int] = []
+    monkeypatch.setattr(image_mod, "open", lambda *args, **kwargs: _ReadCounter(
+        open(*args, **kwargs), counts), raising=False)
+    BESIDE_A_KEPT_PARTITION[change](img)
+    monkeypatch.undo()
+    # Kept payloads are read in chunks, and nothing else is read: not the
+    # payload a change drops or replaces.
+    assert max(counts) <= image_mod.CHUNK_BYTES
+    assert sum(counts) == KEPT_BYTES + (len(b"old payload") if change == "add" else 0)
+    assert BoxImage.open(img.path).dump_partition(1) == kept
+
+
+def test_store_metadata_renders_its_payload_at_the_commit_time(tmp_path, monkeypatch):
+    img = make_image(tmp_path)
+    img.add_partition(b"data", name="data", **DATA_CODES)
+    monkeypatch.setattr(image_mod.time, "time", lambda: img.modified_at + 5)
+    pid = img.store_metadata(lambda modified_at: str(modified_at).encode(),
+                             {1: [b"new ", b"data"]})
+    reopened = BoxImage.open(img.path)
+    assert reopened.modified_at == img.modified_at
+    assert reopened.dump_partition(pid) == str(reopened.modified_at).encode()
+    assert reopened.dump_partition(1) == b"new data"
+    assert reopened.partitions == img.partitions
+
+
 @pytest.mark.parametrize("count", [0, 1, 3])
 def test_open_reads_only_the_header_and_the_table(tmp_path, monkeypatch, count):
     payloads = [bytes([n]) * 50_000 for n in range(count)]
