@@ -6,7 +6,7 @@ every written output ends up carrying a metadata partition describing
 exactly which components produced it.
 """
 
-from .archive import ArchiveEntry, decode, encode_dir, encode_entries, extract_dir
+from .archive import ArchiveEntry, decode, encode_entries, extract_dir
 from .bench import (
     EMPTY_DATA_IMAGE_BYTES,
     SpaceOverheadReport,
@@ -54,7 +54,7 @@ from .runtime import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchiveEntry", "decode", "encode_dir", "encode_entries", "extract_dir",
+    "ArchiveEntry", "decode", "encode_entries", "extract_dir",
     "EMPTY_DATA_IMAGE_BYTES", "SpaceOverheadReport", "TimeOverheadReport",
     "TransferReport", "bench_space", "bench_time", "bench_transfer",
     "make_synthetic_tree",

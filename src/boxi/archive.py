@@ -26,10 +26,13 @@ encode_pieces checks and sorts the entries, then yields the blob in pieces,
 each file's content as it is, so an image writer can stream a tree into a
 file without joining it first; encode_entries joins the pieces.
 
-decode and extract_dir share one validating walk over a memoryview of the
-blob, which checks every rule above for every entry before either returns
-an entry or writes a file. decode copies each file's content into bytes;
-extract_dir writes the content views straight to disk.
+decode, graft and extract_dir share one validating walk over a memoryview
+of the blob, which checks every rule above for every entry before any of
+them returns an entry or writes a file. decode copies each file's content
+into bytes; extract_dir writes the content views straight to disk.
+
+graft is the one tree edit: a repack grafts a new tree under an inner path
+and keeps the rest. with_parents is the one rule for implied directories.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .errors import MalformedArchive, UnsupportedEntry
 
@@ -158,22 +161,16 @@ def _scan_tree(root: Path, prefix: str) -> list[ArchiveEntry]:
     return entries
 
 
-def scan_dir(root: Path | str, prefix: str = "") -> list[ArchiveEntry]:
-    """Collect entries for every file and directory under root.
+def scan_dir(root: Path | str) -> list[ArchiveEntry]:
+    """Collect entries, with paths relative to root, for everything under it.
 
-    prefix, when given, is prepended to every path (it must end in "/").
     Symlinks, sockets, devices, and names that are not UTF-8 raise
     UnsupportedEntry.
     """
     root = Path(root)
     if not root.is_dir():
         raise UnsupportedEntry(f"not a directory: {root}")
-    return _scan_tree(root, prefix)
-
-
-def encode_dir(root: Path | str) -> bytes:
-    """Archive the contents of a directory into a canonical blob."""
-    return encode_entries(scan_dir(root))
+    return _scan_tree(root, "")
 
 
 def _walk(blob: bytes) -> list[tuple[str, int, memoryview | None]]:
@@ -228,16 +225,44 @@ def _walk(blob: bytes) -> list[tuple[str, int, memoryview | None]]:
     return entries
 
 
-def decode(blob: bytes, *, omit: Collection[str] = ()) -> list[ArchiveEntry]:
-    """Parse a blob back into entries, verifying every encoding rule.
-
-    Entries below any path in omit ("" is the root) are verified like every
-    other entry but left out, so their content is never copied.
-    """
-    below = tuple(f"{inner}/" if inner else "" for inner in omit)
+def decode(blob: bytes) -> list[ArchiveEntry]:
+    """Parse a blob back into entries, verifying every encoding rule."""
     return [ArchiveEntry(path, mode, None if content is None else bytes(content))
-            for path, mode, content in _walk(blob)
-            if not path.startswith(below)]
+            for path, mode, content in _walk(blob)]
+
+
+def with_parents(entries: list[ArchiveEntry],
+                 dirs: Iterable[str] = ()) -> list[ArchiveEntry]:
+    """entries plus a 0o755 directory for each path in dirs and each parent
+    of a path that entries do not already hold; "" is the root, never one."""
+    present = {entry.path for entry in entries}
+    added: list[ArchiveEntry] = []
+    for path in [*dirs, *(entry.path.rpartition("/")[0] for entry in entries)]:
+        while path and path not in present:
+            present.add(path)
+            added.append(ArchiveEntry(path, stat.S_IFDIR | 0o755, None))
+            path = path.rpartition("/")[0]
+    return [*entries, *added]
+
+
+def graft(blob: bytes, subtrees: Mapping[str, list[ArchiveEntry]]) -> list[ArchiveEntry]:
+    """The entries of blob with everything below each inner path ("" is the
+    root) replaced by that path's subtree, re-rooted there.
+
+    Every entry of blob is verified, but nothing below an inner path is
+    copied. An inner directory keeps its mode; a missing inner path or
+    parent, or a file in its place, becomes a with_parents directory.
+    """
+    below = tuple(f"{inner}/" if inner else "" for inner in subtrees)
+    spots = {entry.path for entry in with_parents([], subtrees)}
+    entries = [ArchiveEntry(path, mode, None if content is None else bytes(content))
+               for path, mode, content in _walk(blob)
+               if not path.startswith(below) and (content is None or path not in spots)]
+    for inner, subtree in subtrees.items():
+        prefix = f"{inner}/" if inner else ""
+        entries.extend(ArchiveEntry(prefix + entry.path, entry.mode, entry.content)
+                       for entry in subtree)
+    return with_parents(entries, subtrees)
 
 
 def extract_dir(blob: bytes, dest: Path | str) -> None:

@@ -26,7 +26,7 @@ from .image import (
 )
 from .packager import (Recipe, build_app_image, pack_data_dir, pack_empty_output,
                        parse_recipe, utf8_text)
-from .provenance import (RecordTrail, _trail_payload, assemble_record_trail,
+from .provenance import (RecordTrail, _trail_payload, assemble_record_trail, stamped,
                          trail_partition)
 from .runtime import (MODES, ZERO_COPY, ExecutionReport, load_workflow, run_workflow,
                       workflow_from_mapping)
@@ -172,7 +172,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = load_workflow(args.workflow)
 
     def trail(report: ExecutionReport, output_id: str, modified_at: int) -> bytes:
-        return assemble_record_trail(spec, report, output_id, modified_at).to_json()
+        return stamped(assemble_record_trail(spec, report, output_id), modified_at).to_json()
 
     report = run_workflow(spec, args.mode, None if args.no_trail else trail)
     attached = []

@@ -196,9 +196,10 @@ class PartitionDescriptor:
 
 @dataclass(frozen=True)
 class NewPartition:
-    """A partition to be written: its payload, codes and name."""
+    """A partition to be written: its payload, as bytes or consecutive byte
+    pieces, its codes and its name."""
 
-    payload: bytes
+    payload: bytes | Iterable[bytes]
     datatype: int
     fstype: int
     parttype: int

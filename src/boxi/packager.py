@@ -32,7 +32,8 @@ import stat
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .archive import ArchiveEntry, _UNSAFE, _check_path, encode_dir, encode_entries
+from .archive import (ArchiveEntry, _UNSAFE, _check_path, encode_entries, encode_pieces,
+                      scan_dir, with_parents)
 from .document import Document
 from .errors import (
     BoxiError,
@@ -219,22 +220,16 @@ def _inner_path(path: str, what: str) -> str:
 
 def _entries_with_parents(pairs: list[tuple[str, int, bytes]]) -> list[ArchiveEntry]:
     """Build archive entries for (path, mode, content) files plus parent dirs."""
-    dir_paths: dict[str, int] = {}
-    file_paths: set[str] = set()
-    entries: list[ArchiveEntry] = []
+    files: dict[str, ArchiveEntry] = {}
     for inner, mode, content in pairs:
-        if inner in file_paths:
+        if inner in files:
             raise InvalidName(f"two files map to the same image path {inner!r}")
-        file_paths.add(inner)
-        parts = inner.split("/")
-        for depth in range(1, len(parts)):
-            dir_paths.setdefault("/".join(parts[:depth]), stat.S_IFDIR | 0o755)
-        entries.append(ArchiveEntry(inner, mode, content))
-    overlap = file_paths & dir_paths.keys()
+        files[inner] = ArchiveEntry(inner, mode, content)
+    parents = with_parents([], {inner.rpartition("/")[0] for inner in files})
+    overlap = files.keys() & {entry.path for entry in parents}
     if overlap:
         raise InvalidName(f"image path is both file and directory: {sorted(overlap)[0]!r}")
-    entries.extend(ArchiveEntry(path, mode, None) for path, mode in dir_paths.items())
-    return entries
+    return [*files.values(), *parents]
 
 
 def pack_data_dir(dir_path: Path | str, image_name: str,
@@ -248,11 +243,11 @@ def pack_data_dir(dir_path: Path | str, image_name: str,
     if not dir_path.is_dir():
         raise IoError(f"not a readable directory: {dir_path}")
     try:
-        payload = encode_dir(dir_path)
+        pieces = encode_pieces(scan_dir(dir_path))
     except OSError as exc:
         raise IoError(f"cannot read {dir_path}: {exc}") from exc
     return BoxImage.create(image_name, path, [NewPartition(
-        payload,
+        pieces,
         datatype=DATA_PARTITION,
         fstype=FS_ARCHIVE_RW,
         parttype=PART_DATA,
@@ -265,11 +260,8 @@ def pack_empty_output(dir_name: str, image_name: str,
                       path: Path | str | None = None) -> BoxImage:
     """Create an output image whose data partition holds one empty directory."""
     inner = _inner_path(dir_name, "output directory name")
-    parts = inner.split("/")
-    entries = [ArchiveEntry("/".join(parts[:depth]), stat.S_IFDIR | 0o755, None)
-               for depth in range(1, len(parts) + 1)]
     return BoxImage.create(image_name, path, [NewPartition(
-        encode_entries(entries),
+        encode_entries(with_parents([], [inner])),
         datatype=DATA_PARTITION,
         fstype=FS_ARCHIVE_RW,
         parttype=PART_DATA,

@@ -7,11 +7,12 @@ the inputs bound into those applications, and the output itself. The trail
 is serialized as canonical JSON and stored as a json-generic metadata
 partition of the output image, so the data carries its own history.
 
-`boxi run` hands run_workflow a function that renders each trail from the
-modified-at time of the commit that stores it, so the new data partition
-and its trail are written in one rewrite of the output, and the trail's
-output record names the header it is stored under. attach_metadata stores
-a trail on its own, in one rewrite too.
+A trail is stamped when it is stored: its output record takes the
+modified-at time of the commit that stores it, so it names the header it
+is stored under. `boxi run` hands run_workflow a function that renders each
+stamped trail, so the new data partition and its trail are written in one
+rewrite of the output; attach_metadata stores a trail on its own, in one
+rewrite too.
 
 The trail is written in the canonical JSON form defined in document.py.
 Its keys are the fields of RecordTrail and ComponentRecord, in order:
@@ -153,14 +154,12 @@ def capture_static_metadata(image: BoxImage, role: str) -> ComponentRecord:
 
 
 def assemble_record_trail(spec: WorkflowSpec, report: ExecutionReport,
-                          output_id: str, modified_at: int | None = None) -> RecordTrail:
+                          output_id: str) -> RecordTrail:
     """Build the trail for one output written by the reported run.
 
     Backward traversal, one level: the applications whose invocations wrote
     into the output, then every input bound into those applications.
     Ordering is inputs (by name), applications (by name), output last.
-    modified_at, when given, is recorded as the output's modification time
-    in place of its header's: that of the commit the trail is stored in.
     """
     spec.component(output_id)  # raises UnknownComponent when absent
     if output_id not in {ow.component_id for ow in report.outputs_written}:
@@ -183,8 +182,6 @@ def assemble_record_trail(spec: WorkflowSpec, report: ExecutionReport,
         return [rec for rec, _ in records]
 
     output_record = record_for(output_id, ROLE_OUTPUT)
-    if modified_at is not None:
-        output_record = replace(output_record, modified=iso_utc(modified_at))
     trail = (ordered(input_ids, ROLE_INPUT)
              + ordered(writer_apps, ROLE_APPLICATION)
              + [output_record])
@@ -207,8 +204,16 @@ def assemble_record_trail(spec: WorkflowSpec, report: ExecutionReport,
     )
 
 
+def stamped(trail: RecordTrail, modified_at: int) -> RecordTrail:
+    """The trail with its output's record, which also ends record_trail,
+    modified at modified_at: the time of the commit that stores it."""
+    output = replace(trail.output, modified=iso_utc(modified_at))
+    return replace(trail, output=output, record_trail=(*trail.record_trail[:-1], output))
+
+
 def attach_metadata(image: BoxImage, trail: RecordTrail) -> int:
-    """Store the trail as the image's single metadata partition.
+    """Store the trail, stamped with the commit's time, as the image's
+    single metadata partition.
 
     An existing metadata partition keeps its id and gets the new payload,
     without its old one being read. Otherwise the trail is added, and any
@@ -216,7 +221,7 @@ def attach_metadata(image: BoxImage, trail: RecordTrail) -> int:
     rewritten whole, once, and swapped in atomically; see
     BoxImage.store_metadata. Returns the partition id holding the trail.
     """
-    return image.store_metadata(trail.to_json())
+    return image.store_metadata(lambda modified_at: stamped(trail, modified_at).to_json())
 
 
 def trail_partition(image: BoxImage) -> PartitionDescriptor:

@@ -14,10 +14,11 @@ they emit around it:
               copy-out each spot to staging after the exec, then repack.
 
 A copy event is one materialize, stage, copy-in, copy-out or repack step:
-2 per input-to-output path in zero-copy, 4 in two-copy. A repack replaces
-only the bound subtree of its partition, so both modes produce identical
-output bytes. An application that writes into a readable mount fails the
-run with SandboxError in both modes, before anything is repacked: in
+2 per input-to-output path in zero-copy, 4 in two-copy. A repack grafts the
+tree it packs under the bound inner path of its partition and keeps the
+rest (archive.graft), so both modes produce identical output bytes. An
+application that writes into a readable mount fails the run with
+SandboxError in both modes, before anything is repacked: in
 zero-copy the next view would see the change. The direct transfers are
 plans of the same steps with no application. The run directory is created
 under the BOXI_SANDBOX environment variable's directory, or under the
@@ -33,10 +34,10 @@ modified-at time.
 
 from __future__ import annotations
 
+import graphlib
 import json
 import os
 import shutil
-import stat
 import subprocess
 import tempfile
 import time
@@ -47,7 +48,6 @@ from pathlib import Path
 from typing import Callable
 
 from . import archive
-from .archive import ArchiveEntry
 from .document import Document
 from .errors import (
     BoxiError,
@@ -56,6 +56,7 @@ from .errors import (
     InvalidName,
     InvalidWorkflowSpec,
     IoError,
+    MalformedArchive,
     NoRunscript,
     SandboxError,
     UnknownComponent,
@@ -121,13 +122,14 @@ class WorkflowSpec:
 
 def _inner(path: str, what: str,
            error: type[BoxiError] = InvalidWorkflowSpec) -> str:
-    """Normalize an inner path; "" or "/" selects the whole tree."""
+    """Normalize an inner path; "" or "/" selects the whole tree. Otherwise
+    it must be a valid archive entry path once its slashes are stripped."""
     stripped = path.strip("/")
-    if not stripped:
-        return ""
-    for part in stripped.split("/"):
-        if part in ("", ".", ".."):
-            raise error(f"{what}: bad inner path {path!r}")
+    if stripped:
+        try:
+            archive._check_path(stripped)
+        except MalformedArchive as exc:
+            raise error(f"{what}: bad inner path: {exc}") from None
     return stripped
 
 
@@ -259,24 +261,13 @@ def validate_spec(spec: WorkflowSpec) -> None:
 
 
 def _check_acyclic(spec: WorkflowSpec) -> None:
-    edges: dict[str, set[str]] = {c.id: set() for c in spec.components}
-    indegree = {c.id: 0 for c in spec.components}
+    sorter = graphlib.TopologicalSorter()
     for binding in spec.bindings:
-        if binding.target not in edges[binding.source]:
-            edges[binding.source].add(binding.target)
-            indegree[binding.target] += 1
-    ready = [cid for cid, degree in indegree.items() if degree == 0]
-    visited = 0
-    while ready:
-        node = ready.pop()
-        visited += 1
-        for nxt in edges[node]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-    if visited != len(indegree):
-        stuck = sorted(cid for cid, degree in indegree.items() if degree > 0)
-        raise CyclicBinding(f"binding cycle through {', '.join(stuck)}")
+        sorter.add(binding.target, binding.source)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as exc:
+        raise CyclicBinding(f"binding cycle {' -> '.join(exc.args[1])}") from None
 
 
 # --- planning -------------------------------------------------------------------
@@ -452,27 +443,6 @@ def _make_run_dir() -> Path:
     return run_dir
 
 
-def _replace_subtree(entries: list[ArchiveEntry], inner: str,
-                     source_dir: Path) -> list[ArchiveEntry]:
-    """Entries with the subtree at inner replaced by the contents of source_dir."""
-    if not inner:
-        return archive.scan_dir(source_dir)
-    kept = [e for e in entries
-            if e.path != inner and not e.path.startswith(inner + "/")]
-    default_dir = stat.S_IFDIR | 0o755
-    dir_mode = next((e.mode for e in entries if e.path == inner and e.is_dir), None)
-    present = {e.path for e in kept}
-    parts = inner.split("/")
-    for depth in range(1, len(parts)):
-        parent = "/".join(parts[:depth])
-        if parent not in present:
-            kept.append(ArchiveEntry(parent, default_dir, None))
-            present.add(parent)
-    kept.append(ArchiveEntry(inner, dir_mode if dir_mode is not None else default_dir, None))
-    kept.extend(archive.scan_dir(source_dir, prefix=inner + "/"))
-    return kept
-
-
 def _snapshot(root: Path) -> list[tuple[str, int, int, int, int]]:
     """Path, mode, size, mtime and inode of root and of every entry under it.
 
@@ -569,22 +539,22 @@ def _run_plan(plan: MountPlan, handles: dict[str, BoxImage],
             elif step.op == REPACK:
                 repacks.setdefault((step.image, step.partition_id), []).append(step)
             else:
-                if dst.exists() or dst.is_symlink():
-                    raise SandboxError(
-                        f"mount point {step.dst} collides with a tree in the sandbox")
-                dst.parent.mkdir(parents=True, exist_ok=True)
-                if step.op == SPOT:
-                    dst.mkdir()
-                elif not source.is_dir():
-                    raise SandboxError(
-                        f"{step.component}: bound path /{step.inner} is not a directory")
-                elif step.op == LINK:
-                    os.symlink(source, dst, target_is_directory=True)
-                else:
-                    try:
+                try:
+                    if dst.exists() or dst.is_symlink():
+                        raise SandboxError(
+                            f"mount point {step.dst} collides with a tree in the sandbox")
+                    dst.parent.mkdir(parents=True, exist_ok=True)
+                    if step.op == SPOT:
+                        dst.mkdir()
+                    elif not source.is_dir():
+                        raise SandboxError(
+                            f"{step.component}: bound path /{step.inner} is not a directory")
+                    elif step.op == LINK:
+                        os.symlink(source, dst, target_is_directory=True)
+                    else:
                         shutil.copytree(source, dst, symlinks=False, dirs_exist_ok=True)
-                    except OSError as exc:
-                        raise SandboxError(f"{step.op} {step.dst}: {exc}") from exc
+                except OSError as exc:
+                    raise SandboxError(f"{step.op} {step.dst}: {exc}") from exc
 
         written: dict[str, list[int]] = {}
         for (_, partition_id), steps in repacks.items():
@@ -601,16 +571,13 @@ def _run_plan(plan: MountPlan, handles: dict[str, BoxImage],
         )
 
         for (path, partition_id), steps in repacks.items():
-            handle = image(path)
-            # The subtrees being replaced are verified but never copied;
-            # each inner path itself is kept, since its mode carries over.
-            entries = archive.decode(handle.dump_partition(partition_id),
-                                     omit=[step.inner for step in steps])
             for step in steps:
                 if not (run_dir / step.src).is_dir():
                     raise SandboxError(f"{step.component}: {step.src} is gone before repack")
-                entries = _replace_subtree(entries, step.inner, run_dir / step.src)
-            pieces = archive.encode_pieces(entries)
+            handle = image(path)
+            pieces = archive.encode_pieces(archive.graft(
+                handle.dump_partition(partition_id),
+                {step.inner: archive.scan_dir(run_dir / step.src) for step in steps}))
             if trail is None:
                 handle.update_partition(partition_id, pieces)
             else:
@@ -646,13 +613,13 @@ def _plan_transfer(mode: str, src_image: Path | str, src_partition: int,
     """Plan moving a data partition's tree under dst_inner_path of the
     destination's data partition; also return the two handles opened to
     check the partition types."""
+    inner = _inner(dst_inner_path, "transfer destination", InvalidName)
     src = BoxImage.open(src_image)
     if src.descriptor(src_partition).parttype != PART_DATA:
         raise WrongPartitionType(
             f"{src.name}: partition {src_partition} is not a data partition")
     dst = BoxImage.open(dst_image)
     dst_pid = _backing_partition(dst, ROLE_OUTPUT)
-    inner = _inner(dst_inner_path, "transfer destination", InvalidName)
     if mode == ZERO_COPY:
         moves = (Step(MATERIALIZE, src.name, str(src.path), src_partition, dst="shared"),)
     else:

@@ -42,6 +42,7 @@ from boxi.provenance import (
     attach_metadata,
     canonical_json,
     read_trail,
+    stamped,
 )
 from boxi.runtime import (
     TWO_COPY,
@@ -560,13 +561,13 @@ def test_image_identity_corruption_and_stability(tmp_path, capsys):
         output_image = tmp_path / "flow" / "output.boxi"
         with BoxImage.open(output_image) as image:
             first = attach_metadata(image, trail)
-            body = image.dump_partition(first)
+            assert image.dump_partition(first) == stamped(trail, image.modified_at).to_json()
             second = attach_metadata(image, trail)
             assert second == first
-            assert image.dump_partition(second) == body == trail.to_json()
+            assert image.dump_partition(second) == stamped(trail, image.modified_at).to_json()
         kinds = sorted(p["parttype"] for p in read_descriptors(output_image))
         assert kinds == [PART_DATA, PART_METADATA]
         with BoxImage.open(output_image) as image:
-            assert read_trail(image).to_mapping() == trail.to_mapping()
+            assert read_trail(image) == stamped(trail, image.modified_at)
 
         notes.append("10000 identifiers, 640 bit flips caught, inputs byte-stable")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import stat
 import struct
+import tracemalloc
 import uuid
 from pathlib import Path
 
@@ -17,11 +18,12 @@ from boxi.archive import (
     ArchiveEntry,
     content_bytes,
     decode,
-    encode_dir,
     encode_entries,
     encode_pieces,
     extract_dir,
+    graft,
     scan_dir,
+    with_parents,
 )
 from boxi.errors import MalformedArchive, UnsupportedEntry
 
@@ -91,7 +93,7 @@ def test_directory_round_trip_preserves_modes(tmp_path):
     (src / "sub").chmod(0o750)
 
     dest = tmp_path / "dest"
-    extract_dir(encode_dir(src), dest)
+    extract_dir(encode_entries(scan_dir(src)), dest)
     assert_same_tree(src, dest)
 
 
@@ -100,13 +102,7 @@ def test_encode_dir_is_deterministic(tmp_path):
     src.mkdir()
     for name in ("b.txt", "a.txt", "c.txt"):
         (src / name).write_text(name)
-    assert encode_dir(src) == encode_dir(src)
-
-
-def test_scan_dir_prefix_prepends_to_every_path(tmp_path):
-    (tmp_path / "f.txt").write_text("x")
-    entries = scan_dir(tmp_path, prefix="inner/")
-    assert [e.path for e in entries] == ["inner/f.txt"]
+    assert encode_entries(scan_dir(src)) == encode_entries(scan_dir(src))
 
 
 def test_scan_dir_rejects_symlinks(tmp_path):
@@ -279,18 +275,56 @@ def test_extract_checks_the_whole_blob_before_writing(tmp_path, fault):
     assert list(dest.rglob("*")) == []
 
 
-def test_decode_omits_only_what_lies_below_the_given_paths():
-    blob = blob_for(("a", DIR, b""), ("a/x.txt", FILE, b"x"), ("ab.txt", FILE, b"ab"),
+def test_graft_copies_nothing_below_an_inner_path():
+    big = b"x" * (4 << 20)
+    blob = blob_for(("a", DIR, b""), ("a/big", FILE, big), ("ab.txt", FILE, b"ab"),
                     ("c", DIR, b""), ("c/d", DIR, b""), ("c/d/y.txt", FILE, b"y"))
-    assert [e.path for e in decode(blob, omit=["a", "c/d"])] == ["a", "ab.txt", "c", "c/d"]
-    assert decode(blob, omit=[""]) == []
-    assert decode(blob, omit=[]) == decode(blob)
+    tracemalloc.start()
+    try:
+        grafted = graft(blob, {"a": [], "c/d": []})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(e.path for e in grafted) == ["a", "ab.txt", "c", "c/d"]
+    assert peak < len(big) // 4
+    assert graft(blob, {}) == decode(blob)
 
 
-def test_decode_checks_the_entries_it_omits():
+def test_graft_at_the_root_replaces_everything():
+    blob = blob_for(("a", DIR, b""), ("a/x.txt", FILE, b"x"), ("b.txt", FILE, b"b"))
+    new = [ArchiveEntry("n", DIR, None), ArchiveEntry("n/z.txt", FILE, b"z")]
+    assert graft(blob, {"": new}) == new
+    assert graft(blob, {"": []}) == []
+
+
+def test_graft_checks_the_entries_it_replaces():
     blob = blob_for(("a", DIR, b""), ("a/x", 0o020644, b""), ("b.txt", FILE, b"b"))
     with pytest.raises(MalformedArchive):
-        decode(blob, omit=["a"])
+        graft(blob, {"a": []})
+
+
+def test_graft_re_roots_entries_under_their_inner_path():
+    blob = blob_for(("a", 0o40700, b""), ("a/old.txt", FILE, b"old"), ("f", FILE, b"f"))
+    grafted = graft(blob, {"a": [ArchiveEntry("new.txt", FILE, b"new")],
+                           "f/g/h": [ArchiveEntry("deep.txt", EXEC, b"deep")]})
+    assert sorted(grafted, key=lambda e: e.path) == [
+        ArchiveEntry("a", 0o40700, None),           # an inner directory keeps its mode
+        ArchiveEntry("a/new.txt", FILE, b"new"),
+        ArchiveEntry("f", DIR, None),               # a file in the way becomes a directory
+        ArchiveEntry("f/g", DIR, None),             # missing parents are implied
+        ArchiveEntry("f/g/h", DIR, None),
+        ArchiveEntry("f/g/h/deep.txt", EXEC, b"deep"),
+    ]
+
+
+def test_with_parents_adds_only_the_directories_that_are_missing():
+    entries = [ArchiveEntry("a", 0o40700, None), ArchiveEntry("a/b/c.txt", FILE, b"c")]
+    added = with_parents(entries, ["x/y", ""])
+    assert added[:2] == entries
+    assert sorted(added[2:], key=lambda e: e.path) == [
+        ArchiveEntry("a/b", DIR, None), ArchiveEntry("x", DIR, None),
+        ArchiveEntry("x/y", DIR, None)]
+    assert with_parents([], [""]) == []
 
 
 def test_content_bytes_counts_files_only():
@@ -313,13 +347,13 @@ _file_path = st.builds(
 _trees = st.dictionaries(_file_path, st.binary(max_size=64), max_size=8)
 
 
-def _tree_entries(tree: dict[str, bytes]) -> list[ArchiveEntry]:
+def _tree_entries(tree: dict[str, bytes], dir_mode: int = DIR) -> list[ArchiveEntry]:
     dirs = set()
     for path in tree:
         parts = path.split("/")
         for depth in range(1, len(parts)):
             dirs.add("/".join(parts[:depth]))
-    return [ArchiveEntry(d, DIR, None) for d in sorted(dirs)] + [
+    return [ArchiveEntry(d, dir_mode, None) for d in sorted(dirs)] + [
         ArchiveEntry(p, FILE, c) for p, c in tree.items()
     ]
 
@@ -353,8 +387,40 @@ def test_disk_round_trip_preserves_any_tree(tree, tmp_path):
     # tmp_path is shared across examples; isolate each one.
     base = tmp_path / uuid.uuid4().hex
     extract_dir(encode_entries(entries), base / "first")
-    extract_dir(encode_dir(base / "first"), base / "second")
+    extract_dir(encode_entries(scan_dir(base / "first")), base / "second")
     assert_same_tree(base / "first", base / "second")
     by_path = {e.path: e for e in scan_dir(base / "second")}
     for path, content in tree.items():
         assert by_path[path].content == content
+
+
+# An inner path is the root, a directory-like path, or a file path, so that
+# grafting over a file and through a file's place are both drawn.
+_inner_paths = st.one_of(st.lists(_segment, max_size=3).map("/".join), _file_path)
+
+
+@given(tree=_trees, inner=_inner_paths, subtree=_trees)
+def test_graft_keeps_the_outside_and_re_roots_the_subtree(tree, inner, subtree):
+    blob = encode_entries(_tree_entries(tree, dir_mode=0o40750))
+    sub = _tree_entries(subtree)
+    grafted = graft(blob, {inner: sub})
+    encode_entries(grafted)  # a well-formed tree: no duplicates, nothing malformed
+
+    prefix = f"{inner}/" if inner else ""
+    parts = inner.split("/") if inner else []
+    spots = {"/".join(parts[:depth]) for depth in range(1, len(parts) + 1)}
+
+    def outside(entries):
+        return {e for e in entries if not e.path.startswith(prefix) and e.path not in spots}
+
+    assert outside(grafted) == outside(decode(blob))
+    assert {ArchiveEntry(e.path[len(prefix):], e.mode, e.content) for e in grafted
+            if e.path.startswith(prefix)} == set(sub)
+    by_path = {e.path: e for e in grafted}
+    old = {e.path: e for e in decode(blob)}
+    for spot in spots:
+        kept = old.get(spot)
+        assert by_path[spot].mode == (kept.mode if kept and kept.is_dir else DIR)
+    for entry in grafted:
+        parent = entry.path.rpartition("/")[0]
+        assert not parent or by_path[parent].is_dir

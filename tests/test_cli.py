@@ -765,3 +765,16 @@ def test_run_refuses_an_output_file_name_that_is_not_utf8(workbench, capsys, mod
     assert main(["run", str(flow), "--mode", mode]) == errors.UnsupportedEntry.exit_code
     assert "not UTF-8" in capsys.readouterr().err
     assert output.read_bytes() == before
+
+
+@pytest.mark.parametrize("mode", ["zero-copy", "two-copy"])
+def test_run_refuses_a_binding_target_longer_than_a_file_name(workbench, capsys, mode):
+    flow = Path(identity_workflow(workbench))
+    doc = json.loads(flow.read_text())
+    doc["bindings"][1]["target"] = "app:/" + "a" * 300
+    flow.write_text(json.dumps(doc))
+    output = workbench.root / "output.boxi"
+    before = output.read_bytes()
+    assert main(["run", str(flow), "--mode", mode]) == errors.SandboxError.exit_code
+    assert capsys.readouterr().err.startswith("boxi: ")
+    assert output.read_bytes() == before

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 import uuid as uuidlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from boxi.archive import decode, extract_dir
+from boxi.archive import decode, encode_entries, extract_dir, scan_dir
 from boxi.document import canonical_json, plain
 from boxi.errors import (
     InvalidName,
@@ -221,6 +222,22 @@ def test_pack_data_dir_layout(tmp_path):
     out = tmp_path / "out"
     extract_dir(record["payload"], out)
     assert_same_tree(src, out)
+
+
+def test_pack_data_dir_streams_the_tree_into_the_image(tmp_path):
+    src = tmp_path / "Inputs"
+    src.mkdir()
+    for index in range(8):
+        (src / f"part{index}.bin").write_bytes(bytes([index]) * (512 << 10))
+    tracemalloc.start()
+    try:
+        pack_data_dir(src, "input", tmp_path / "input.boxi").close()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (record,) = read_descriptors(tmp_path / "input.boxi")
+    assert record["payload"] == encode_entries(scan_dir(src))
+    assert peak < 1.5 * 8 * (512 << 10)  # the scanned contents, never the joined blob too
 
 
 def test_pack_data_dir_rejects_non_directory(tmp_path):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import time
 import uuid as uuidlib
 
 import pytest
@@ -31,6 +33,7 @@ from boxi.provenance import (
     canonical_json,
     capture_static_metadata,
     read_trail,
+    stamped,
 )
 from boxi.runtime import ZERO_COPY, run_workflow
 
@@ -312,7 +315,8 @@ def test_attach_creates_a_metadata_partition(workbench):
     assert record["parttype"] == PART_METADATA
     assert record["arch"] == ARCH_ANY
     assert record["name"] == METADATA_PARTITION_NAME
-    assert record["payload"] == trail.to_json()
+    modified_at = read_header(workbench.root / "output.boxi")["modified"]
+    assert record["payload"] == stamped(trail, modified_at).to_json()
 
 
 def test_attach_replaces_in_place(workbench):
@@ -324,7 +328,7 @@ def test_attach_replaces_in_place(workbench):
         second = attach_metadata(image, trail)
         assert first == second
         assert len(image.find(parttype=PART_METADATA)) == 1
-        assert read_trail(image) == trail
+        assert read_trail(image) == stamped(trail, image.modified_at)
 
 
 def test_attach_collapses_stray_metadata_partitions(workbench):
@@ -339,7 +343,24 @@ def test_attach_collapses_stray_metadata_partitions(workbench):
         attach_metadata(image, trail)
         found = image.find(parttype=PART_METADATA)
         assert len(found) == 1
-        assert read_trail(image) == trail
+        assert read_trail(image) == stamped(trail, image.modified_at)
+
+
+def test_attach_stamps_the_trail_with_the_header_it_is_stored_under(workbench, monkeypatch):
+    spec = workbench.identity_spec()
+    ticks = itertools.count(int(time.time()))
+    monkeypatch.setattr(time, "time", lambda: float(next(ticks)))
+    output = workbench.root / "output.boxi"
+    for _ in range(2):  # the first attach adds the trail, the second replaces it
+        report = run_workflow(spec, ZERO_COPY)
+        trail = assemble_record_trail(spec, report, "out")
+        with BoxImage.open(output) as image:
+            attach_metadata(image, trail)
+        stored = json.loads(next(r["payload"] for r in read_descriptors(output)
+                                 if r["parttype"] == PART_METADATA))
+        modified = iso_utc(read_header(output)["modified"])
+        assert stored["output"]["modified"] == modified
+        assert stored["record_trail"][-1]["modified"] == modified
 
 
 def test_read_trail_without_metadata(workbench):

@@ -788,6 +788,26 @@ def test_transfer_rejects_traversal_in_destination_path(workbench):
         zero_copy_transfer(src, 1, dst, "../up")
 
 
+def _never_opened(path):
+    raise AssertionError(f"{path} was opened")
+
+
+@pytest.mark.parametrize("transfer", [zero_copy_transfer, two_copy_transfer],
+                         ids=["zero-copy", "two-copy"])
+@pytest.mark.parametrize("inner", ["/a\x00b", "/a\ud800", "/" + "a" * 0x10000],
+                         ids=["nul", "surrogate", "too-long"])
+def test_transfer_rejects_a_bad_destination_before_opening_an_image(
+        workbench, monkeypatch, transfer, inner):
+    src, dst = transfer_fixture(workbench)
+    before = dst.read_bytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(BoxImage, "open", _never_opened)
+        with pytest.raises(InvalidName) as caught:
+            transfer(src, 1, dst, inner)
+    assert caught.value.exit_code == 2
+    assert dst.read_bytes() == before
+
+
 def _with_fifo_mode(blob: bytes, path: str) -> bytes:
     """blob with the mode of the entry at path set to a FIFO's.
 
