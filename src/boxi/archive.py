@@ -10,7 +10,7 @@ Blob layout (all integers little-endian):
     offset  size  field
     0       4     magic "BDA1"
     4       4     entry count (u32)
-    8       ...   entries, strictly ordered by UTF-8 path bytes
+    8       ...   entries, strictly ordered by UTF-8 path bytes, none below a file
 
 Each entry:
 
@@ -26,13 +26,13 @@ encode_pieces checks and sorts the entries, then yields the blob in pieces,
 each file's content as it is, so an image writer can stream a tree into a
 file without joining it first; encode_entries joins the pieces.
 
-decode, graft and extract_dir share one validating walk over a memoryview
-of the blob, which checks every rule above for every entry before any of
-them returns an entry or writes a file. decode copies each file's content
-into bytes; extract_dir writes the content views straight to disk.
+decode, graft, extract_dir and content_bytes share one validating walk over
+a memoryview of the blob, which checks every rule above before any of them
+returns anything or writes a file. decode copies each file's content into
+bytes; extract_dir writes the content views straight to disk.
 
-graft is the one tree edit: a repack grafts a new tree under an inner path
-and keeps the rest. with_parents is the one rule for implied directories.
+graft is the one tree edit: a repack grafts a new tree under one inner
+path and keeps the rest. with_parents is the one rule for implied directories.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import MalformedArchive, UnsupportedEntry
 
@@ -91,8 +91,25 @@ def _check_path(path: str) -> bytes:
     return raw
 
 
+def _check_tree(paths: list[tuple[str, bool]]) -> None:
+    """Refuse (path, is_file) pairs unless the paths strictly ascend in code
+    point order, which is UTF-8 byte order, and none lies below a file."""
+    files: set[str] = set()
+    dirs: set[str] = set()  # directory entries and the parents they imply
+    for index, (path, is_file) in enumerate(paths):
+        if index and path <= paths[index - 1][0]:
+            raise MalformedArchive(f"entry {index}: path repeated or out of order: {path!r}")
+        parent = path.rpartition("/")[0]
+        while parent and parent not in dirs:
+            if parent in files:
+                raise MalformedArchive(f"entry {index}: {path!r} lies below a file")
+            dirs.add(parent)
+            parent = parent.rpartition("/")[0]
+        (files if is_file else dirs).add(path)
+
+
 def _canonical(entries: list[ArchiveEntry]) -> list[tuple[bytes, ArchiveEntry]]:
-    """Check every entry and sort by UTF-8 path bytes; reject duplicates."""
+    """Check every entry and sort by UTF-8 path bytes; see _check_tree."""
     keyed = []
     for entry in entries:
         raw = _check_path(entry.path)
@@ -105,9 +122,7 @@ def _canonical(entries: list[ArchiveEntry]) -> list[tuple[bytes, ArchiveEntry]]:
             raise MalformedArchive(f"file without content: {entry.path!r}")
         keyed.append((raw, entry))
     keyed.sort(key=lambda pair: pair[0])
-    for (a, _), (b, _) in zip(keyed, keyed[1:]):
-        if a == b:
-            raise MalformedArchive(f"duplicate entry path: {a.decode('utf-8')!r}")
+    _check_tree([(entry.path, not entry.is_dir) for _, entry in keyed])
     return keyed
 
 
@@ -187,7 +202,6 @@ def _walk(blob: bytes) -> list[tuple[str, int, memoryview | None]]:
         raise MalformedArchive("bad archive magic")
     pos = _PREAMBLE.size
     entries: list[tuple[str, int, memoryview | None]] = []
-    prev_raw: bytes | None = None
     for index in range(count):
         if pos + _PATH_LEN.size > len(data):
             raise MalformedArchive(f"entry {index}: truncated path length")
@@ -195,16 +209,12 @@ def _walk(blob: bytes) -> list[tuple[str, int, memoryview | None]]:
         pos += _PATH_LEN.size
         if pos + path_len > len(data):
             raise MalformedArchive(f"entry {index}: truncated path")
-        raw = bytes(data[pos:pos + path_len])
-        pos += path_len
         try:
-            path = raw.decode("utf-8")
+            path = str(data[pos:pos + path_len], "utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedArchive(f"entry {index}: path is not UTF-8") from exc
+        pos += path_len
         _check_path(path)
-        if prev_raw is not None and raw <= prev_raw:
-            raise MalformedArchive(f"entry {index}: paths out of order")
-        prev_raw = raw
         if pos + _ENTRY_HEAD.size > len(data):
             raise MalformedArchive(f"entry {index}: truncated header")
         mode, size = _ENTRY_HEAD.unpack_from(data, pos)
@@ -222,6 +232,7 @@ def _walk(blob: bytes) -> list[tuple[str, int, memoryview | None]]:
         pos += size
     if pos != len(data):
         raise MalformedArchive(f"{len(data) - pos} trailing bytes after last entry")
+    _check_tree([(path, content is not None) for path, _, content in entries])
     return entries
 
 
@@ -245,24 +256,22 @@ def with_parents(entries: list[ArchiveEntry],
     return [*entries, *added]
 
 
-def graft(blob: bytes, subtrees: Mapping[str, list[ArchiveEntry]]) -> list[ArchiveEntry]:
-    """The entries of blob with everything below each inner path ("" is the
-    root) replaced by that path's subtree, re-rooted there.
+def graft(blob: bytes, inner: str, subtree: list[ArchiveEntry]) -> list[ArchiveEntry]:
+    """The entries of blob with everything below inner ("" is the root)
+    replaced by subtree, re-rooted there.
 
-    Every entry of blob is verified, but nothing below an inner path is
-    copied. An inner directory keeps its mode; a missing inner path or
-    parent, or a file in its place, becomes a with_parents directory.
+    Every entry of blob is verified, but nothing below inner is copied. An
+    inner directory keeps its mode; a missing inner path or parent, or a
+    file in its place, becomes a with_parents directory.
     """
-    below = tuple(f"{inner}/" if inner else "" for inner in subtrees)
-    spots = {entry.path for entry in with_parents([], subtrees)}
+    prefix = f"{inner}/" if inner else ""
+    spots = {entry.path for entry in with_parents([], [inner])}
     entries = [ArchiveEntry(path, mode, None if content is None else bytes(content))
                for path, mode, content in _walk(blob)
-               if not path.startswith(below) and (content is None or path not in spots)]
-    for inner, subtree in subtrees.items():
-        prefix = f"{inner}/" if inner else ""
-        entries.extend(ArchiveEntry(prefix + entry.path, entry.mode, entry.content)
-                       for entry in subtree)
-    return with_parents(entries, subtrees)
+               if not path.startswith(prefix) and (content is None or path not in spots)]
+    entries.extend(ArchiveEntry(prefix + entry.path, entry.mode, entry.content)
+                   for entry in subtree)
+    return with_parents(entries, [inner])
 
 
 def extract_dir(blob: bytes, dest: Path | str) -> None:
@@ -291,6 +300,6 @@ def extract_dir(blob: bytes, dest: Path | str) -> None:
         (dest / path).chmod(stat.S_IMODE(mode))
 
 
-def content_bytes(entries: list[ArchiveEntry]) -> int:
-    """Total file content in a tree, excluding all framing."""
-    return sum(len(e.content) for e in entries if e.content is not None)
+def content_bytes(blob: bytes) -> int:
+    """Total file content in a blob, excluding all framing; nothing is copied."""
+    return sum(len(content) for _, _, content in _walk(blob) if content is not None)

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .archive import content_bytes, decode
+from .archive import content_bytes
 from .document import Document
 from .errors import BenchAborted, IoError
 from .image import (
@@ -158,7 +158,7 @@ def bench_time(spec: WorkflowSpec, native_commands: list[list[str]],
 def bench_space(spec: WorkflowSpec) -> SpaceOverheadReport:
     """Compare each component image against the raw content inside it.
 
-    Original bytes count decoded file contents for archive partitions and
+    Original bytes count the file contents for archive partitions and
     the raw payload for anything else, so the delta is exactly the format
     framing: header, descriptors, and archive entry headers.
     """
@@ -172,7 +172,7 @@ def bench_space(spec: WorkflowSpec) -> SpaceOverheadReport:
             for part in image.partitions:
                 payload = image.dump_partition(part.partition_id)
                 if part.datatype == DATA_PARTITION:
-                    original += content_bytes(decode(payload))
+                    original += content_bytes(payload)
                 else:
                     original += len(payload)
         containerized = path.stat().st_size

@@ -149,7 +149,10 @@ def _checked_name(name: str, what: str) -> bytes:
         raise InvalidName(f"{what} name is empty")
     if "\x00" in name:
         raise InvalidName(f"{what} name contains NUL")
-    raw = name.encode("utf-8")
+    try:
+        raw = name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InvalidName(f"{what} name is not UTF-8: {name!r}") from None
     if len(raw) > NAME_FIELD_BYTES:
         raise InvalidName(f"{what} name exceeds {NAME_FIELD_BYTES} bytes: {name!r}")
     return raw

@@ -2,10 +2,11 @@
 
 A workflow declares components (input, application, output), bindings that
 make a directory of one component visible inside another, and invocations
-of applications. plan_mounts compiles a workflow into a MountPlan of steps;
-one executor runs any plan in a throwaway run directory. Each writable
-mount is an empty spot in its view, and the two modes differ in the steps
-they emit around it:
+of applications. plan_mounts opens each image once and compiles the
+workflow into a MountPlan of steps that name their partitions; one
+executor runs any plan in a throwaway run directory. Each writable mount
+is an empty spot in its view, and the two modes differ in the steps they
+emit around it:
 
   zero-copy   materialize each readable partition once into a shared
               directory and link every view to it; repack each spot.
@@ -25,7 +26,7 @@ under the BOXI_SANDBOX environment variable's directory, or under the
 system temp directory when it is unset, and is always removed at the end.
 
 Repacks run after every exec, so the run's report is complete before any
-output is committed. Each written output is then rewritten once: its new
+output is committed. Each output is then one graft and one commit: its new
 data partition is encoded straight into the image file, and, when the
 caller passes a trail function, the output's record trail goes into the
 same commit as its metadata partition, rendered from that commit's
@@ -246,15 +247,15 @@ def validate_spec(spec: WorkflowSpec) -> None:
 
     _check_acyclic(spec)
 
-    # one writer per output component across the whole run
-    invoked: dict[str, int] = {}
-    for invocation in spec.invocations:
-        invoked[invocation.app] = invoked.get(invocation.app, 0) + 1
-    for comp in spec.components:
+    # one writer per output, and an image file no other component names
+    files = [Path(comp.image).resolve() for comp in spec.components]
+    for comp, path in zip(spec.components, files):
         if comp.role != ROLE_OUTPUT:
             continue
-        writers = sum(invoked.get(b.target, 0)
-                      for b in spec.bindings if b.source == comp.id)
+        if files.count(path) > 1:
+            raise InvalidWorkflowSpec(f"output {comp.id!r} shares its image file {comp.image!r}")
+        writers = sum(b.target == invocation.app for b in spec.bindings
+                      if b.source == comp.id for invocation in spec.invocations)
         if writers > 1:
             raise ConflictingWrites(
                 f"output {comp.id!r} would be written by {writers} invocations")
@@ -288,7 +289,7 @@ COPY_STEPS = (MATERIALIZE, STAGE, COPY_IN, COPY_OUT, REPACK)
 class Step:
     """One instruction of a plan; src and dst are relative to the run directory.
 
-      view         unpack the primary system partition of image into dst
+      view         unpack partition_id, the primary one, of image into dst
       materialize  unpack partition_id of image into the shared directory dst
       stage        unpack partition_id of image into the staging directory dst
       spot         create the empty writable directory dst
@@ -311,12 +312,13 @@ class Step:
 
 @dataclass(frozen=True)
 class MountPlan:
-    """The program of one run: its steps in order, for one transfer mode."""
+    """The program of one run: its steps in order and the images they name, by path."""
 
     label: str
     mode: str
     steps: tuple[Step, ...]
     bindings_used: tuple[str, ...]
+    images: dict[str, BoxImage]
 
     @property
     def copy_events(self) -> int:
@@ -325,7 +327,7 @@ class MountPlan:
 
 
 def _backing_partition(image: BoxImage, role: str) -> int:
-    """Pick the partition a binding source exposes: data for data components,
+    """Pick the partition a component exposes: data for data components,
     the primary system partition for applications."""
     wanted = PART_SYSTEM_PRIMARY if role == ROLE_APPLICATION else PART_DATA
     found = image.find(parttype=wanted)
@@ -337,19 +339,18 @@ def _backing_partition(image: BoxImage, role: str) -> int:
 
 
 def plan_mounts(spec: WorkflowSpec, mode: str = ZERO_COPY) -> MountPlan:
-    """Compile a workflow into the steps that run it in the given mode."""
+    """Compile a workflow into the steps that run it in the given mode; each
+    image they name is opened once, and each partition picked, before any app runs."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     validate_spec(spec)
 
-    partition_ids: dict[str, int] = {}
+    images: dict[str, BoxImage] = {}
 
-    def backing(component_id: str) -> int:
-        if component_id not in partition_ids:
-            comp = spec.component(component_id)
-            with BoxImage.open(comp.image) as image:
-                partition_ids[component_id] = _backing_partition(image, comp.role)
-        return partition_ids[component_id]
+    def backing(comp: Component) -> int:
+        if comp.image not in images:
+            images[comp.image] = BoxImage.open(comp.image)
+        return _backing_partition(images[comp.image], comp.role)
 
     steps: list[Step] = []
     repacks: list[Step] = []
@@ -358,12 +359,12 @@ def plan_mounts(spec: WorkflowSpec, mode: str = ZERO_COPY) -> MountPlan:
     for index, invocation in enumerate(spec.invocations):
         app = spec.component(invocation.app)
         view = f"views/{index}"
-        steps.append(Step(VIEW, app.id, app.image, dst=view))
+        steps.append(Step(VIEW, app.id, app.image, backing(app), dst=view))
         copy_outs: list[Step] = []
         for binding in sorted((b for b in spec.bindings if b.target == app.id),
                               key=lambda b: b.target_path):
             source = spec.component(binding.source)
-            pid = backing(source.id)
+            pid = backing(source)
             spot = f"{view}/{binding.target_path}"
             if source.role == ROLE_OUTPUT:
                 # validate_spec lets one invocation write an output: no shared spot
@@ -394,7 +395,7 @@ def plan_mounts(spec: WorkflowSpec, mode: str = ZERO_COPY) -> MountPlan:
 
     used = tuple(b.label() for invocation in spec.invocations
                  for b in spec.bindings if b.target == invocation.app)
-    return MountPlan(spec.label, mode, (*steps, *repacks), used)
+    return MountPlan(spec.label, mode, (*steps, *repacks), used, images)
 
 
 # --- execution --------------------------------------------------------------------
@@ -496,35 +497,26 @@ def _execute(view: Path, app_id: str, argv: tuple[str, ...]) -> InvocationRecord
     )
 
 
-def _run_plan(plan: MountPlan, handles: dict[str, BoxImage],
-              trail: TrailFunction | None = None) -> ExecutionReport:
+def _run_plan(plan: MountPlan, trail: TrailFunction | None = None) -> ExecutionReport:
     """Run every step of a plan in a fresh run directory, removed at the end.
 
-    Each image is opened at most once, through handles keyed by path, and
-    closed at the end. Repack steps run last, all steps for one partition
-    through a single commit, which also stores the output's trail when a
-    trail function is given. The link and copy-in mounts of a view are
-    snapshot before and after its exec; a difference raises SandboxError.
-    Otherwise the report is returned even when applications exit nonzero;
-    only infrastructure failures raise.
+    The steps read and write only the plan's images, which are closed at
+    the end. Repack steps run last, each output's through one graft and
+    one commit, which also stores the output's trail when a trail function
+    is given. The link and copy-in mounts of a view are snapshot before and
+    after its exec; a difference raises SandboxError. Otherwise the report
+    is returned even when applications exit nonzero; only infrastructure
+    failures raise.
     """
     run_dir = _make_run_dir()
-
-    def image(path: str) -> BoxImage:
-        if path not in handles:
-            handles[path] = BoxImage.open(path)
-        return handles[path]
-
     records: list[InvocationRecord] = []
-    repacks: dict[tuple[str, int], list[Step]] = {}
+    repacks = [step for step in plan.steps if step.op == REPACK]
     try:
         for step in plan.steps:
             source, dst = run_dir / step.src / step.inner, run_dir / step.dst
             if step.op in (VIEW, MATERIALIZE, STAGE):
-                handle = image(step.image)
-                pid = (_backing_partition(handle, ROLE_APPLICATION)
-                       if step.op == VIEW else step.partition_id)
-                archive.extract_dir(handle.dump_partition(pid), dst)
+                archive.extract_dir(
+                    plan.images[step.image].dump_partition(step.partition_id), dst)
             elif step.op == EXEC:
                 readable = [run_dir / mount.dst for mount in plan.steps
                             if mount.op in (LINK, COPY_IN)
@@ -536,9 +528,7 @@ def _run_plan(plan: MountPlan, handles: dict[str, BoxImage],
                         raise SandboxError(
                             f"application {step.component!r} wrote into its "
                             f"readable mount /{path.relative_to(dst)}")
-            elif step.op == REPACK:
-                repacks.setdefault((step.image, step.partition_id), []).append(step)
-            else:
+            elif step.op != REPACK:
                 try:
                     if dst.exists() or dst.is_symlink():
                         raise SandboxError(
@@ -556,37 +546,32 @@ def _run_plan(plan: MountPlan, handles: dict[str, BoxImage],
                 except OSError as exc:
                     raise SandboxError(f"{step.op} {step.dst}: {exc}") from exc
 
-        written: dict[str, list[int]] = {}
-        for (_, partition_id), steps in repacks.items():
-            for step in steps:
-                written.setdefault(step.component, []).append(partition_id)
+        for step in repacks:
+            if not (run_dir / step.src).is_dir():
+                raise SandboxError(f"{step.component}: {step.src} is gone before repack")
         report = ExecutionReport(
             label=plan.label,
             mode=plan.mode,
             invocations=records,
             copy_events=plan.copy_events,
-            outputs_written=[OutputWrite(component_id, tuple(sorted(pids)))
-                             for component_id, pids in written.items()],
+            outputs_written=[OutputWrite(step.component, (step.partition_id,))
+                             for step in repacks],
             bindings_used=list(plan.bindings_used),
         )
-
-        for (path, partition_id), steps in repacks.items():
-            for step in steps:
-                if not (run_dir / step.src).is_dir():
-                    raise SandboxError(f"{step.component}: {step.src} is gone before repack")
-            handle = image(path)
+        for step in repacks:
+            image = plan.images[step.image]
             pieces = archive.encode_pieces(archive.graft(
-                handle.dump_partition(partition_id),
-                {step.inner: archive.scan_dir(run_dir / step.src) for step in steps}))
+                image.dump_partition(step.partition_id), step.inner,
+                archive.scan_dir(run_dir / step.src)))
             if trail is None:
-                handle.update_partition(partition_id, pieces)
+                image.update_partition(step.partition_id, pieces)
             else:
-                handle.store_metadata(partial(trail, report, steps[-1].component),
-                                      {partition_id: pieces})
+                image.store_metadata(partial(trail, report, step.component),
+                                     {step.partition_id: pieces})
         return report
     finally:
-        for handle in handles.values():
-            handle.close()
+        for image in plan.images.values():
+            image.close()
         shutil.rmtree(run_dir, ignore_errors=True)
 
 
@@ -602,17 +587,15 @@ def run_workflow(spec: WorkflowSpec, mode: str = ZERO_COPY,
     infrastructure failures raise, and so does an application that changes
     a readable mount: SandboxError, before anything is repacked.
     """
-    return _run_plan(plan_mounts(spec, mode), {}, trail)
+    return _run_plan(plan_mounts(spec, mode), trail)
 
 
 # --- direct transfers -----------------------------------------------------------
 
 def _plan_transfer(mode: str, src_image: Path | str, src_partition: int,
-                   dst_image: Path | str,
-                   dst_inner_path: str) -> tuple[MountPlan, dict[str, BoxImage]]:
+                   dst_image: Path | str, dst_inner_path: str) -> MountPlan:
     """Plan moving a data partition's tree under dst_inner_path of the
-    destination's data partition; also return the two handles opened to
-    check the partition types."""
+    destination's data partition."""
     inner = _inner(dst_inner_path, "transfer destination", InvalidName)
     src = BoxImage.open(src_image)
     if src.descriptor(src_partition).parttype != PART_DATA:
@@ -627,9 +610,9 @@ def _plan_transfer(mode: str, src_image: Path | str, src_partition: int,
                  Step(COPY_IN, src.name, src="staging/0", dst="view"),
                  Step(COPY_OUT, src.name, src="view", dst="staging/1"))
     repack = Step(REPACK, dst.name, str(dst.path), dst_pid, src=moves[-1].dst, inner=inner)
-    plan = MountPlan(f"{mode}-transfer", mode, (*moves, repack),
-                     (f"{src.name}:{src_partition} -> {dst.name}:/{inner}",))
-    return plan, {str(src.path): src, str(dst.path): dst}
+    return MountPlan(f"{mode}-transfer", mode, (*moves, repack),
+                     (f"{src.name}:{src_partition} -> {dst.name}:/{inner}",),
+                     {str(src.path): src, str(dst.path): dst})
 
 
 def zero_copy_transfer(src_image: Path | str, src_partition: int,
@@ -639,9 +622,8 @@ def zero_copy_transfer(src_image: Path | str, src_partition: int,
     The tree is materialized once, directly at the directory that is
     repacked into the destination partition: two copy events, no staging.
     """
-    plan, handles = _plan_transfer(ZERO_COPY, src_image, src_partition,
-                                   dst_image, dst_inner_path)
-    return _run_plan(plan, handles)
+    return _run_plan(_plan_transfer(ZERO_COPY, src_image, src_partition,
+                                    dst_image, dst_inner_path))
 
 
 def two_copy_transfer(src_image: Path | str, src_partition: int,
@@ -651,6 +633,5 @@ def two_copy_transfer(src_image: Path | str, src_partition: int,
     Stage, copy into a view, copy back out to staging, repack the
     destination partition: four copy events.
     """
-    plan, handles = _plan_transfer(TWO_COPY, src_image, src_partition,
-                                   dst_image, dst_inner_path)
-    return _run_plan(plan, handles)
+    return _run_plan(_plan_transfer(TWO_COPY, src_image, src_partition,
+                                    dst_image, dst_inner_path))

@@ -281,35 +281,39 @@ def test_graft_copies_nothing_below_an_inner_path():
                     ("c", DIR, b""), ("c/d", DIR, b""), ("c/d/y.txt", FILE, b"y"))
     tracemalloc.start()
     try:
-        grafted = graft(blob, {"a": [], "c/d": []})
+        grafted = graft(blob, "a", [])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sorted(e.path for e in grafted) == ["a", "ab.txt", "c", "c/d"]
+    assert sorted(e.path for e in grafted) == ["a", "ab.txt", "c", "c/d", "c/d/y.txt"]
     assert peak < len(big) // 4
-    assert graft(blob, {}) == decode(blob)
 
 
 def test_graft_at_the_root_replaces_everything():
     blob = blob_for(("a", DIR, b""), ("a/x.txt", FILE, b"x"), ("b.txt", FILE, b"b"))
     new = [ArchiveEntry("n", DIR, None), ArchiveEntry("n/z.txt", FILE, b"z")]
-    assert graft(blob, {"": new}) == new
-    assert graft(blob, {"": []}) == []
+    assert graft(blob, "", new) == new
+    assert graft(blob, "", []) == []
 
 
 def test_graft_checks_the_entries_it_replaces():
     blob = blob_for(("a", DIR, b""), ("a/x", 0o020644, b""), ("b.txt", FILE, b"b"))
     with pytest.raises(MalformedArchive):
-        graft(blob, {"a": []})
+        graft(blob, "a", [])
 
 
 def test_graft_re_roots_entries_under_their_inner_path():
     blob = blob_for(("a", 0o40700, b""), ("a/old.txt", FILE, b"old"), ("f", FILE, b"f"))
-    grafted = graft(blob, {"a": [ArchiveEntry("new.txt", FILE, b"new")],
-                           "f/g/h": [ArchiveEntry("deep.txt", EXEC, b"deep")]})
+    grafted = graft(blob, "a", [ArchiveEntry("new.txt", FILE, b"new")])
     assert sorted(grafted, key=lambda e: e.path) == [
         ArchiveEntry("a", 0o40700, None),           # an inner directory keeps its mode
         ArchiveEntry("a/new.txt", FILE, b"new"),
+        ArchiveEntry("f", FILE, b"f"),
+    ]
+    grafted = graft(blob, "f/g/h", [ArchiveEntry("deep.txt", EXEC, b"deep")])
+    assert sorted(grafted, key=lambda e: e.path) == [
+        ArchiveEntry("a", 0o40700, None),
+        ArchiveEntry("a/old.txt", FILE, b"old"),
         ArchiveEntry("f", DIR, None),               # a file in the way becomes a directory
         ArchiveEntry("f/g", DIR, None),             # missing parents are implied
         ArchiveEntry("f/g/h", DIR, None),
@@ -328,12 +332,31 @@ def test_with_parents_adds_only_the_directories_that_are_missing():
 
 
 def test_content_bytes_counts_files_only():
-    entries = [
-        ArchiveEntry("d", DIR, None),
-        ArchiveEntry("d/a", FILE, b"12345"),
-        ArchiveEntry("d/b", FILE, b"678"),
-    ]
-    assert content_bytes(entries) == 8
+    blob = blob_for(("d", DIR, b""), ("d/a", FILE, b"12345"), ("d/b", FILE, b"678"))
+    assert content_bytes(blob) == 8
+    with pytest.raises(MalformedArchive):
+        content_bytes(blob[:-1])
+
+
+# "f.txt" sorts between "f" and "f/...", so a file's descendants need not
+# follow it directly; "f/a/b" lies below the file "f" with no "f/a" entry.
+_BELOW_A_FILE = {
+    "child": [("f", FILE, b"f"), ("f/child", FILE, b"c")],
+    "grandchild": [("f", FILE, b"f"), ("f/a/b", DIR, b"")],
+    "not-adjacent": [("f", FILE, b"f"), ("f.txt", FILE, b""), ("f/c", FILE, b"c")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BELOW_A_FILE))
+def test_an_entry_below_a_file_is_malformed(tmp_path, case):
+    items = _BELOW_A_FILE[case]
+    with pytest.raises(MalformedArchive, match="below a file"):
+        encode_entries([ArchiveEntry(p, m, c if m == FILE else None) for p, m, c in items])
+    with pytest.raises(MalformedArchive, match="below a file"):
+        decode(blob_for(*items))
+    with pytest.raises(MalformedArchive, match="below a file"):
+        extract_dir(blob_for(*items), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # File names always carry a ".f" suffix and directory segments never do,
@@ -403,7 +426,7 @@ _inner_paths = st.one_of(st.lists(_segment, max_size=3).map("/".join), _file_pat
 def test_graft_keeps_the_outside_and_re_roots_the_subtree(tree, inner, subtree):
     blob = encode_entries(_tree_entries(tree, dir_mode=0o40750))
     sub = _tree_entries(subtree)
-    grafted = graft(blob, {inner: sub})
+    grafted = graft(blob, inner, sub)
     encode_entries(grafted)  # a well-formed tree: no duplicates, nothing malformed
 
     prefix = f"{inner}/" if inner else ""

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +215,21 @@ def test_transfer_cleans_up_its_scratch_when_unset(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile_mod, "tempdir", str(tmp_path))
     bench_transfer(1000, repetitions=1, seed=1)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_benchmark_tracer_wraps_names_that_exist():
+    # perfbench/tracing.py wraps boxi's layers by name from outside; a
+    # renamed layer must fail here rather than crash a traced benchmark run.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer().add_packager().add_layers()
+    patches = tracer._patches
+    assert patches
+    tracer.install()
+    try:
+        assert all(vars(owner)[attr] is new for owner, attr, _, new in patches)
+    finally:
+        tracer.uninstall()
+    assert all(vars(owner)[attr] is old for owner, attr, old, _ in patches)

@@ -747,6 +747,37 @@ def test_pack_refuses_a_file_name_that_is_not_utf8(tmp_path, capsys):
     assert not (tmp_path / "data.boxi").exists()
 
 
+def _non_utf8_name_commands(tmp_path: Path) -> dict[str, list[str]]:
+    """Three commands that would name an image or a partition with bytes
+    that are not UTF-8, as a shell passes them: decoded with surrogateescape."""
+    data = tmp_path / "d"
+    data.mkdir()
+    (data / "a.txt").write_bytes(b"a")
+    odd_dir = tmp_path / os.fsdecode(b"n\xfe")
+    odd_dir.mkdir()
+    (odd_dir / "a.txt").write_bytes(b"a")
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(b"x")
+    image = tmp_path / "out.boxi"
+    main(["new-output", "Outputs", str(image)])
+    return {
+        "image-name": [PACK, str(data), str(tmp_path / os.fsdecode(b"x\xff.boxi"))],
+        "partition-name": [PACK, str(odd_dir), str(tmp_path / "ok.boxi")],
+        "add-name": ["add", str(image), str(payload), "--datatype", "3", "--partfs", "1",
+                     "--parttype", "4", "--partarch", "0", "--name", os.fsdecode(b"\xff")],
+    }
+
+
+@pytest.mark.parametrize("command", ["image-name", "partition-name", "add-name"])
+def test_a_name_that_is_not_utf8_is_refused(tmp_path, capsys, command):
+    argv = _non_utf8_name_commands(tmp_path)[command]
+    files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    capsys.readouterr()
+    assert main(argv) == errors.InvalidName.exit_code
+    assert "name is not UTF-8" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == files
+
+
 @pytest.mark.parametrize("mode", ["zero-copy", "two-copy"])
 def test_run_refuses_an_output_file_name_that_is_not_utf8(workbench, capsys, mode):
     workbench.app_image(NON_UTF8_WRITER)

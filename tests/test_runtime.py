@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from boxi import standins
+from boxi import scenarios, standins
 from boxi.archive import ArchiveEntry, encode_entries, extract_dir
 from boxi.cli import main
 from boxi.errors import (
@@ -194,6 +194,55 @@ def test_two_invoked_writers_for_one_output():
         workflow_from_mapping(doc)
 
 
+# Which component names out1's image file output.boxi, and how.
+_SHARED_OUTPUT_FILE = {
+    "same": ("out2", "output.boxi"),
+    "dot-dot": ("out2", "sub/../output.boxi"),
+    "symlink": ("out2", "link.boxi"),
+    "input-file": ("in", "output.boxi"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHARED_OUTPUT_FILE))
+def test_an_output_image_file_named_twice_is_refused(workbench, capsys, case):
+    workbench.input_image({"a.txt": b"alpha"})
+    workbench.app_image(standins.IDENTITY)
+    workbench.output_image()
+    workbench.output_image(name="output2")
+    (workbench.root / "sub").mkdir()
+    (workbench.root / "link.boxi").symlink_to("output.boxi")
+    # two identity apps of one app image, each writing its own output
+    doc = _doc(
+        components=[
+            {"id": "in", "role": "input", "image": "input.boxi"},
+            {"id": "app1", "role": "application", "image": "app.boxi"},
+            {"id": "app2", "role": "application", "image": "app.boxi"},
+            {"id": "out1", "role": "output", "image": "output.boxi"},
+            {"id": "out2", "role": "output", "image": "output2.boxi"},
+        ],
+        bindings=[
+            {"source": "in:/", "target": "app1:/Inputs"},
+            {"source": "out1:/Outputs", "target": "app1:/Outputs"},
+            {"source": "in:/", "target": "app2:/Inputs"},
+            {"source": "out2:/Outputs", "target": "app2:/Outputs"},
+        ],
+        invocations=[{"app": "app1", "argv": ["Inputs", "Outputs/data"]},
+                     {"app": "app2", "argv": ["Inputs", "Outputs/data"]}],
+    )
+    component, image = _SHARED_OUTPUT_FILE[case]
+    for comp in doc["components"]:
+        if comp["id"] == component:
+            comp["image"] = image
+    with pytest.raises(InvalidWorkflowSpec, match="shares its image file"):
+        workflow_from_mapping(doc, base_dir=workbench.root)
+    flow = workbench.root / "workflow.json"
+    flow.write_text(json.dumps(doc))
+    images = {path: path.read_bytes() for path in workbench.root.glob("*.boxi")}
+    assert main(["run", str(flow)]) == 2
+    assert "shares its image file" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in images} == images
+
+
 def test_output_bound_into_a_never_invoked_app_is_allowed():
     doc = _doc(
         components=_doc()["components"] + [
@@ -299,6 +348,60 @@ def test_run_requires_a_primary_partition_for_apps(workbench):
     (workbench.root / "fake.boxi").replace(workbench.root / "app.boxi")
     with pytest.raises(WrongPartitionType):
         run_workflow(spec, ZERO_COPY)
+
+
+def _counting_opens(monkeypatch) -> list[str]:
+    opened: list[str] = []
+    real_open = BoxImage.open
+
+    def counting_open(cls, path):
+        opened.append(str(path))
+        return real_open(path)
+
+    monkeypatch.setattr(BoxImage, "open", classmethod(counting_open))
+    return opened
+
+
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
+def test_a_run_opens_each_image_once(tmp_path, monkeypatch, mode):
+    # scenario 2: three inputs, one plotter image run by three apps, three outputs
+    spec = load_workflow(scenarios.build_scenario(2, tmp_path))
+    opened = _counting_opens(monkeypatch)
+    report = run_workflow(spec, mode)
+    assert all(record.exit_status == 0 for record in report.invocations)
+    assert len(opened) == len(set(opened)) == 7
+
+
+def test_a_transfer_opens_its_two_images_once(workbench, monkeypatch):
+    src, dst = transfer_fixture(workbench)
+    opened = _counting_opens(monkeypatch)
+    zero_copy_transfer(src, 1, dst, "/Inputs")
+    assert opened == [str(src), str(dst)]
+
+
+MARKER = """#!/usr/bin/env python3
+import sys
+from pathlib import Path
+Path(sys.argv[1]).write_text("ran")
+"""
+
+
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
+def test_a_bad_app_image_is_refused_before_any_app_runs(workbench, tmp_path, mode):
+    workbench.app_image(MARKER, name="marker")
+    workbench.input_image({"x": b""}, name="not-an-app")
+    marker = tmp_path / "marker-ran"
+    spec = workbench.spec(
+        components=[
+            {"id": "first", "role": "application", "image": "marker.boxi"},
+            {"id": "second", "role": "application", "image": "not-an-app.boxi"},
+        ],
+        bindings=[],
+        invocations=[{"app": "first", "argv": [str(marker)]}, {"app": "second"}],
+    )
+    with pytest.raises(WrongPartitionType, match="primary"):
+        run_workflow(spec, mode)
+    assert not marker.exists()
 
 
 # --- execution ----------------------------------------------------------------
@@ -808,14 +911,15 @@ def test_transfer_rejects_a_bad_destination_before_opening_an_image(
     assert dst.read_bytes() == before
 
 
-def _with_fifo_mode(blob: bytes, path: str) -> bytes:
-    """blob with the mode of the entry at path set to a FIFO's.
+def _with_mode(blob: bytes, path: str, mode: int = stat.S_IFIFO | 0o644) -> bytes:
+    """blob with the mode of the first entry at path set to mode, a FIFO's
+    by default.
 
     The result is malformed, so it can only be stored as raw bytes.
     """
     data = bytearray(blob)
     mode_at = data.index(path.encode("utf-8")) + len(path.encode("utf-8"))
-    struct.pack_into("<I", data, mode_at, stat.S_IFIFO | 0o644)
+    struct.pack_into("<I", data, mode_at, mode)
     return bytes(data)
 
 
@@ -826,7 +930,7 @@ def test_the_replaced_subtree_is_still_checked_before_a_repack(workbench, how, c
     flow = subdirectory_workflow(workbench, "in:/")
     output = workbench.root / "output.boxi"
     with BoxImage.open(output) as image:
-        image.update_partition(1, _with_fifo_mode(encode_entries([
+        image.update_partition(1, _with_mode(encode_entries([
             ArchiveEntry("Keep", stat.S_IFDIR | 0o755, None),
             ArchiveEntry("Keep/k.txt", stat.S_IFREG | 0o644, b"kept"),
             ArchiveEntry("Outputs", stat.S_IFDIR | 0o755, None),
@@ -841,4 +945,20 @@ def test_the_replaced_subtree_is_still_checked_before_a_repack(workbench, how, c
             run_workflow(load_workflow(flow))
         assert main(["run", str(flow)]) == 4
         assert "unsupported mode" in capsys.readouterr().err
+    assert output.read_bytes() == before
+
+
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
+def test_an_input_with_an_entry_below_a_file_fails_the_run(workbench, mode, capsys):
+    # A directory turned into an empty file still has its child below it.
+    flow = subdirectory_workflow(workbench, "in:/")
+    with BoxImage.open(workbench.root / "input.boxi") as image:
+        image.update_partition(1, _with_mode(encode_entries([
+            ArchiveEntry("g", stat.S_IFDIR | 0o755, None),
+            ArchiveEntry("g/child.txt", stat.S_IFREG | 0o644, b"child"),
+        ]), "g", stat.S_IFREG | 0o644))
+    output = workbench.root / "output.boxi"
+    before = output.read_bytes()
+    assert main(["run", "--mode", mode, str(flow)]) == 4
+    assert "'g/child.txt' lies below a file" in capsys.readouterr().err
     assert output.read_bytes() == before
