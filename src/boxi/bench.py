@@ -205,10 +205,10 @@ def bench_transfer(payload_bytes: int,
         tree = base / "payload"
         make_synthetic_tree(tree, payload_bytes, seed)
         src = base / "transfer-src.boxi"
-        pack_data_dir(tree, "transfer-src", src).close()
+        with pack_data_dir(tree, "transfer-src", src) as source:
+            source_partition = source.find(parttype=PART_DATA)[0].partition_id
         dst = base / "transfer-dst.boxi"
         pack_empty_output("Inputs", "transfer-dst", dst).close()
-        source_partition = _single_data_partition(src)
 
         zero_ns: list[int] = []
         two_ns: list[int] = []
@@ -241,8 +241,3 @@ def bench_transfer(payload_bytes: int,
     finally:
         if scratch is not None:
             scratch.cleanup()
-
-
-def _single_data_partition(path: Path) -> int:
-    with BoxImage.open(path) as image:
-        return image.find(parttype=PART_DATA)[0].partition_id

@@ -12,6 +12,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable, Mapping
 
 from .bench import bench_space, bench_time, bench_transfer
 from .errors import BoxiError, IoError
@@ -26,8 +27,7 @@ from .image import (
 )
 from .packager import (Recipe, build_app_image, pack_data_dir, pack_empty_output,
                        parse_recipe, utf8_text)
-from .provenance import (RecordTrail, _trail_payload, assemble_record_trail, stamped,
-                         trail_partition)
+from .provenance import RecordTrail, _trail_payload, assemble_record_trail, stamped
 from .runtime import (MODES, ZERO_COPY, ExecutionReport, load_workflow, run_workflow,
                       workflow_from_mapping)
 from .standins import SLEEPER, write_script
@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = kinds.add_parser("time", help="native vs containerized wall clock")
     sub.add_argument("--compute-seconds", type=float, default=0.1,
                      help="stand-in computation length per run")
-    sub.add_argument("--reps", type=int, default=20)
+    sub.add_argument("--reps", type=_at_least(2), default=20)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_bench_time)
 
@@ -126,14 +126,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_bench_space)
 
     sub = kinds.add_parser("transfer", help="zero-copy vs two-copy transfer")
-    sub.add_argument("--size", type=int, default=100 * 1024 * 1024,
+    sub.add_argument("--size", type=_at_least(1), default=100 * 1024 * 1024,
                      help="synthetic payload bytes")
-    sub.add_argument("--reps", type=int, default=20)
+    sub.add_argument("--reps", type=_at_least(1), default=20)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_bench_transfer)
 
     return parser
+
+
+def _at_least(low: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:  # argparse names it: "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 # --- packaging commands ---------------------------------------------------------
@@ -171,28 +180,21 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = load_workflow(args.workflow)
 
-    def trail(report: ExecutionReport, output_id: str, modified_at: int) -> bytes:
-        return stamped(assemble_record_trail(spec, report, output_id), modified_at).to_json()
+    def trail(report: ExecutionReport, output_id: str,
+              images: Mapping[str, BoxImage], modified_at: int) -> bytes:
+        return stamped(assemble_record_trail(spec, report, output_id, images),
+                       modified_at).to_json()
 
     report = run_workflow(spec, args.mode, None if args.no_trail else trail)
-    attached = []
-    if not args.no_trail:
-        for write in report.outputs_written:
-            with BoxImage.open(spec.component(write.component_id).image) as image:
-                partition_id = trail_partition(image).partition_id
-            attached.append({"component_id": write.component_id,
-                             "partition_id": partition_id})
     if args.json:
-        doc = report.to_mapping()
-        doc["trails_attached"] = attached
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(report.to_mapping(), indent=2))
     else:
         for record in report.invocations:
             print(f"{record.component_id}: exit {record.exit_status}")
             if record.exit_status != 0:
                 for line in record.stderr_tail.splitlines():
                     print(f"    {line}")
-        trail_at = {a["component_id"]: a["partition_id"] for a in attached}
+        trail_at = {t.component_id: t.partition_id for t in report.trails_attached}
         for write in report.outputs_written:
             note = (f", trail in partition {trail_at[write.component_id]}"
                     if write.component_id in trail_at else "")

@@ -32,6 +32,10 @@ class NoSuchPartition(BoxiError):
     """The requested partition id is not present in the image."""
 
 
+class NoFreePartitionId(BoxiError):
+    """The image's largest partition id is the largest a descriptor holds."""
+
+
 # --- on-disk integrity -------------------------------------------------------
 
 class NotABoxImage(BoxiError):

@@ -70,6 +70,7 @@ from .errors import (
     DuplicatePrimary,
     InvalidName,
     IoError,
+    NoFreePartitionId,
     NoSuchPartition,
     NotABoxImage,
     TruncatedImage,
@@ -84,6 +85,7 @@ _DESCRIPTOR = struct.Struct("<IIIII64sQQ32s28x")
 
 HEADER_SIZE = _HEADER.size  # 60
 DESCRIPTOR_SIZE = _DESCRIPTOR.size  # 160
+MAX_PARTITION_ID = 0xFFFFFFFF  # a u32 field
 
 # datatype codes
 DATA_RECIPE = 1
@@ -228,6 +230,8 @@ def _new_descriptor(existing: list[PartitionDescriptor], image_name: str,
             p.parttype == PART_SYSTEM_PRIMARY for p in existing):
         raise DuplicatePrimary(f"{image_name} already holds a primary partition")
     pid = max((p.partition_id for p in existing), default=0) + 1
+    if pid > MAX_PARTITION_ID:
+        raise NoFreePartitionId(f"{image_name}: partition id {pid - 1} is the largest allowed")
     return PartitionDescriptor(
         pid, new.datatype, new.fstype, new.parttype, new.arch, new.name, 0, 0, b"")
 

@@ -7,6 +7,8 @@ the inputs bound into those applications, and the output itself. The trail
 is serialized as canonical JSON and stored as a json-generic metadata
 partition of the output image, so the data carries its own history.
 
+Records are read from open image handles, in a run the plan's, so a trail
+names the headers the run read even if an image file is replaced meanwhile.
 A trail is stamped when it is stored: its output record takes the
 modified-at time of the commit that stores it, so it names the header it
 is stored under. `boxi run` hands run_workflow a function that renders each
@@ -35,6 +37,7 @@ from __future__ import annotations
 import json
 import uuid as uuidlib
 from dataclasses import dataclass, fields, replace
+from typing import Mapping
 
 from .document import Document, canonical_json  # noqa: F401  (re-exported)
 from .errors import MalformedTrail, NoMetadataPartition, NotAnOutputOfRun
@@ -42,7 +45,6 @@ from .image import (  # noqa: F401  (METADATA_PARTITION_NAME re-exported)
     METADATA_PARTITION_NAME,
     PART_METADATA,
     BoxImage,
-    PartitionDescriptor,
     iso_utc,
 )
 from .runtime import (
@@ -154,12 +156,13 @@ def capture_static_metadata(image: BoxImage, role: str) -> ComponentRecord:
 
 
 def assemble_record_trail(spec: WorkflowSpec, report: ExecutionReport,
-                          output_id: str) -> RecordTrail:
+                          output_id: str, images: Mapping[str, BoxImage]) -> RecordTrail:
     """Build the trail for one output written by the reported run.
 
     Backward traversal, one level: the applications whose invocations wrote
     into the output, then every input bound into those applications.
     Ordering is inputs (by name), applications (by name), output last.
+    Records are read from images, open handles keyed as MountPlan.images.
     """
     spec.component(output_id)  # raises UnknownComponent when absent
     if output_id not in {ow.component_id for ow in report.outputs_written}:
@@ -173,8 +176,7 @@ def assemble_record_trail(spec: WorkflowSpec, report: ExecutionReport,
                  if b.target in writer_apps and roles.get(b.source) == ROLE_INPUT}
 
     def record_for(component_id: str, role: str) -> ComponentRecord:
-        with BoxImage.open(spec.component(component_id).image) as image:
-            return capture_static_metadata(image, role)
+        return capture_static_metadata(images[spec.component(component_id).image], role)
 
     def ordered(ids: set[str], role: str) -> list[ComponentRecord]:
         records = [(record_for(cid, role), cid) for cid in ids]
@@ -224,19 +226,14 @@ def attach_metadata(image: BoxImage, trail: RecordTrail) -> int:
     return image.store_metadata(lambda modified_at: stamped(trail, modified_at).to_json())
 
 
-def trail_partition(image: BoxImage) -> PartitionDescriptor:
-    """An image's single metadata partition."""
+def _trail_payload(image: BoxImage) -> bytes:
+    """The stored bytes of an image's single metadata partition, unparsed."""
     found = image.find(parttype=PART_METADATA)
     if not found:
         raise NoMetadataPartition(f"{image.name} holds no metadata partition")
     if len(found) > 1:
         raise MalformedTrail(f"{image.name} holds {len(found)} metadata partitions")
-    return found[0]
-
-
-def _trail_payload(image: BoxImage) -> bytes:
-    """The stored bytes of an image's single metadata partition, unparsed."""
-    return image.dump_partition(trail_partition(image).partition_id)
+    return image.dump_partition(found[0].partition_id)
 
 
 def read_trail(image: BoxImage) -> RecordTrail:

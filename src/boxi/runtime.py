@@ -25,12 +25,13 @@ plans of the same steps with no application. The run directory is created
 under the BOXI_SANDBOX environment variable's directory, or under the
 system temp directory when it is unset, and is always removed at the end.
 
-Repacks run after every exec, so the run's report is complete before any
-output is committed. Each output is then one graft and one commit: its new
-data partition is encoded straight into the image file, and, when the
-caller passes a trail function, the output's record trail goes into the
-same commit as its metadata partition, rendered from that commit's
-modified-at time.
+Repacks run after every exec, so the report is complete before any output
+is committed, but for trails_attached. Each output is then one graft and
+one commit: its new data partition is encoded straight into the image
+file, and, when the caller passes a trail function, the output's record
+trail, rendered from the plan's images and the commit's modified-at time,
+goes into the same commit as its metadata partition, whose id the commit
+returns to trails_attached.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ import subprocess
 import tempfile
 import time
 import uuid as uuidlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 from . import archive
 from .document import Document
@@ -248,7 +249,10 @@ def validate_spec(spec: WorkflowSpec) -> None:
     _check_acyclic(spec)
 
     # one writer per output, and an image file no other component names
-    files = [Path(comp.image).resolve() for comp in spec.components]
+    try:
+        files = [Path(comp.image).resolve() for comp in spec.components]
+    except (OSError, RuntimeError) as exc:  # RuntimeError: a symlink loop
+        raise InvalidWorkflowSpec(f"cannot resolve an image path: {exc}") from None
     for comp, path in zip(spec.components, files):
         if comp.role != ROLE_OUTPUT:
             continue
@@ -418,6 +422,12 @@ class OutputWrite:
     partition_ids: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class TrailWrite:
+    component_id: str
+    partition_id: int
+
+
 @dataclass
 class ExecutionReport(Document):
     label: str
@@ -426,11 +436,12 @@ class ExecutionReport(Document):
     copy_events: int
     outputs_written: list[OutputWrite]
     bindings_used: list[str]
+    trails_attached: list[TrailWrite] = field(default_factory=list)
 
 
-# Renders the record trail of one output of the reported run, given the
-# modified-at time of the commit that stores it.
-TrailFunction = Callable[[ExecutionReport, str, int], bytes]
+# Renders one output's record trail from the reported run, the run's open
+# images by path (MountPlan.images) and the storing commit's modified-at time.
+TrailFunction = Callable[[ExecutionReport, str, Mapping[str, BoxImage], int], bytes]
 
 
 def _make_run_dir() -> Path:
@@ -566,8 +577,9 @@ def _run_plan(plan: MountPlan, trail: TrailFunction | None = None) -> ExecutionR
             if trail is None:
                 image.update_partition(step.partition_id, pieces)
             else:
-                image.store_metadata(partial(trail, report, step.component),
-                                     {step.partition_id: pieces})
+                pid = image.store_metadata(partial(trail, report, step.component, plan.images),
+                                           {step.partition_id: pieces})
+                report.trails_attached.append(TrailWrite(step.component, pid))
         return report
     finally:
         for image in plan.images.values():
@@ -580,8 +592,8 @@ def run_workflow(spec: WorkflowSpec, mode: str = ZERO_COPY,
     """Execute every invocation, repack written outputs, report what happened.
 
     Each written output is rewritten once. With a trail function, the
-    output's trail, trail(report, output_id, modified_at), is stored as its
-    metadata partition in that same rewrite.
+    output's trail, trail(report, output_id, images, modified_at) of the
+    images the run opened, is its metadata partition in that same rewrite.
 
     The report is returned even when applications exit nonzero. Only
     infrastructure failures raise, and so does an application that changes

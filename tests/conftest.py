@@ -7,8 +7,14 @@ from pathlib import Path
 import pytest
 
 from boxi import standins
+from boxi.image import BoxImage
 from boxi.packager import Recipe, build_app_image, pack_data_dir, pack_empty_output
 from boxi.runtime import WorkflowSpec, workflow_from_mapping
+
+
+def open_images(spec: WorkflowSpec) -> dict[str, BoxImage]:
+    """Handles to every image a spec names, keyed by path as MountPlan.images is."""
+    return {comp.image: BoxImage.open(comp.image) for comp in spec.components}
 
 
 class Workbench:

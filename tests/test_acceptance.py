@@ -56,6 +56,7 @@ from boxi.runtime import (
 )
 from boxi.standins import SLEEPER, write_script
 
+from .conftest import open_images
 from .oracles import (
     assert_same_tree,
     expected_image_delta,
@@ -102,7 +103,7 @@ def _run_and_attach(flow: Path):
     report = run_workflow(spec)
     assert all(rec.exit_status == 0 for rec in report.invocations)
     for current in report.outputs_written:
-        trail = assemble_record_trail(spec, report, current.component_id)
+        trail = assemble_record_trail(spec, report, current.component_id, open_images(spec))
         with BoxImage.open(spec.component(current.component_id).image) as image:
             attach_metadata(image, trail)
     return spec, report
@@ -308,7 +309,8 @@ def test_trail_assembly_matches_reachability_oracle(tmp_path, capsys):
             report = _synthetic_report(rng, doc)
             written = [ow.component_id for ow in report.outputs_written]
             for output_id in written:
-                actual = assemble_record_trail(spec, report, output_id).to_mapping()
+                actual = assemble_record_trail(spec, report, output_id,
+                                               open_images(spec)).to_mapping()
                 expected = _expected_trail(doc, report, output_id, tmp_path)
                 if actual != expected:
                     mismatches.append(f"spec {index} output {output_id}")
@@ -319,7 +321,7 @@ def test_trail_assembly_matches_reachability_oracle(tmp_path, capsys):
                          if c["role"] == "output" and c["id"] not in written]
             if unwritten:
                 with pytest.raises(NotAnOutputOfRun):
-                    assemble_record_trail(spec, report, unwritten[0])
+                    assemble_record_trail(spec, report, unwritten[0], open_images(spec))
 
         assert mismatches == [], mismatches[:5]
         assert comparisons >= 100
@@ -557,7 +559,7 @@ def test_image_identity_corruption_and_stability(tmp_path, capsys):
                  for name in ("input.boxi", "app.boxi")}
         assert after == sources   # runs never touch their source images
 
-        trail = assemble_record_trail(spec, report, "output")
+        trail = assemble_record_trail(spec, report, "output", open_images(spec))
         output_image = tmp_path / "flow" / "output.boxi"
         with BoxImage.open(output_image) as image:
             first = attach_metadata(image, trail)

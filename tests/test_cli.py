@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import stat
+import struct
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import boxi.image as image_mod
-from boxi import cli, errors, scenarios, standins
+from boxi import cli, errors, runtime, scenarios, standins
 from boxi.archive import ArchiveEntry, encode_entries
 from boxi.cli import main
 from boxi.image import (
@@ -30,7 +31,7 @@ from boxi.image import (
     NewPartition,
     iso_utc,
 )
-from boxi.packager import SoftwareManifest
+from boxi.packager import SoftwareManifest, pack_data_dir
 from boxi.provenance import canonical_json, read_trail
 from boxi.runtime import load_workflow, run_workflow
 
@@ -213,6 +214,19 @@ def test_run_rejects_invalid_workflow_with_exit_2(tmp_path, capsys):
         {"id": "a", "role": "nope", "image": "a.boxi"}]}))
     assert main(["run", str(flow)]) == 2
     assert "boxi:" in capsys.readouterr().err
+
+
+def test_run_rejects_a_symlink_loop_with_exit_2(tmp_path, monkeypatch, capsys):
+    (tmp_path / "a.boxi").symlink_to("b.boxi")
+    (tmp_path / "b.boxi").symlink_to("a.boxi")
+    flow = tmp_path / "loop.json"
+    flow.write_text(json.dumps({"label": "loop", "components": [
+        {"id": "in", "role": "input", "image": "a.boxi"}]}))
+    monkeypatch.setattr(BoxImage, "open", None)  # refused before any image is opened
+    assert main(["run", str(flow)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot resolve an image path" in err
+    assert "Traceback" not in err
 
 
 DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
@@ -435,6 +449,41 @@ def test_add_unknown_code_exits_2(tmp_path, capsys):
                  "--partfs", "1", "--parttype", "4", "--partarch", "0"]) == 2
 
 
+def _take_the_last_partition_id(image: Path) -> None:
+    """Give an image's last partition the largest id a descriptor holds."""
+    data = bytearray(image.read_bytes())
+    header = read_header(image)
+    struct.pack_into("<I", data, header["table_offset"] + (header["count"] - 1) * 160,
+                     0xFFFFFFFF)
+    image.write_bytes(bytes(data))
+
+
+def test_add_refuses_when_no_partition_id_is_left(tmp_path, capsys):
+    image = tmp_path / "out.boxi"
+    main(["new-output", "Outputs", str(image)])
+    _take_the_last_partition_id(image)
+    before = image.read_bytes()
+    payload = tmp_path / "p.json"
+    payload.write_bytes(b"{}")
+    capsys.readouterr()
+    assert main(["add", str(image), str(payload), "--datatype", "3",
+                 "--partfs", "1", "--parttype", "4", "--partarch", "0"]) == 2
+    assert "largest allowed" in capsys.readouterr().err
+    assert image.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.boxi", "p.json"]
+
+
+def test_run_refuses_a_trail_when_no_partition_id_is_left(workbench, capsys):
+    flow = identity_workflow(workbench)
+    output = workbench.root / "output.boxi"
+    _take_the_last_partition_id(output)
+    before = output.read_bytes()
+    assert main(["run", flow]) == 2
+    assert "largest allowed" in capsys.readouterr().err
+    assert output.read_bytes() == before
+    assert not list(workbench.root.glob(".output.boxi.*"))
+
+
 def test_del_removes_a_partition(tmp_path, capsys):
     image = tmp_path / "out.boxi"
     main(["new-output", "Outputs", str(image)])
@@ -622,6 +671,19 @@ def test_bench_transfer_json(capsys):
     assert doc["payload_bytes"] == 20000
 
 
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--size", "0"],
+    ["transfer", "--size", "-5"],
+    ["transfer", "--reps", "0"],
+    ["time", "--reps", "1"],
+], ids=" ".join)
+def test_bench_refuses_out_of_range_arguments_as_usage_errors(capsys, argv):
+    assert main(["bench", *argv]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: must be at least" in err
+    assert "Traceback" not in err
+
+
 def test_module_entry_point(tmp_path):
     image = tmp_path / "out.boxi"
     proc = subprocess.run(
@@ -663,6 +725,32 @@ def test_the_trail_names_the_header_it_is_stored_under(workbench, monkeypatch, c
         modified = iso_utc(read_header(output)["modified"])
         assert trail["output"]["modified"] == modified
         assert trail["record_trail"][-1]["modified"] == modified
+
+
+@pytest.mark.parametrize("mode", ["zero-copy", "two-copy"])
+def test_the_trail_names_the_input_the_run_read(workbench, monkeypatch, capsys, mode):
+    flow = identity_workflow(workbench)
+    source = workbench.root / "input.boxi"
+    read_uuid = str(uuidlib.UUID(bytes=read_header(source)["uuid_bytes"]))
+    real_execute = runtime._execute
+
+    def execute_then_repack(*args):
+        record = real_execute(*args)
+        # the input file is replaced by a new image while the run goes on
+        tree = workbench.root / "tree-later" / "Inputs"
+        tree.mkdir(parents=True)
+        (tree / "a.txt").write_bytes(b"later\n")
+        pack_data_dir(tree, "input", workbench.root / "later.boxi").close()
+        os.replace(workbench.root / "later.boxi", source)
+        return record
+
+    monkeypatch.setattr(runtime, "_execute", execute_then_repack)
+    assert main(["run", flow, "--mode", mode]) == 0
+    new_uuid = str(uuidlib.UUID(bytes=read_header(source)["uuid_bytes"]))
+    with BoxImage.open(workbench.root / "output.boxi") as output:
+        trail = read_trail(output)
+    assert new_uuid != read_uuid
+    assert [(r.role, r.uuid) for r in trail.record_trail[:1]] == [("input", read_uuid)]
 
 
 class _Syscalls:

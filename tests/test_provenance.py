@@ -37,6 +37,7 @@ from boxi.provenance import (
 )
 from boxi.runtime import ZERO_COPY, run_workflow
 
+from .conftest import Workbench, open_images
 from .oracles import mask_trail, read_descriptors, read_header
 
 GOOD_RECORD = {
@@ -166,7 +167,7 @@ def test_capture_rejects_unknown_role(tmp_path):
 def test_assembled_trail_walks_one_level_back(workbench):
     spec = workbench.identity_spec(label="traced")
     report = run_workflow(spec, ZERO_COPY)
-    trail = assemble_record_trail(spec, report, "out")
+    trail = assemble_record_trail(spec, report, "out", open_images(spec))
 
     assert trail.workflow_label == "traced"
     assert [(r.role, r.name) for r in trail.record_trail] == [
@@ -190,14 +191,14 @@ def test_assembly_requires_a_declared_component(workbench):
     spec = workbench.identity_spec()
     report = run_workflow(spec, ZERO_COPY)
     with pytest.raises(UnknownComponent):
-        assemble_record_trail(spec, report, "ghost")
+        assemble_record_trail(spec, report, "ghost", open_images(spec))
 
 
 def test_assembly_requires_the_component_was_written(workbench):
     spec = workbench.identity_spec()
     report = run_workflow(spec, ZERO_COPY)
     with pytest.raises(NotAnOutputOfRun):
-        assemble_record_trail(spec, report, "in")
+        assemble_record_trail(spec, report, "in", open_images(spec))
 
 
 def test_inputs_are_ordered_by_image_name(workbench):
@@ -220,7 +221,7 @@ def test_inputs_are_ordered_by_image_name(workbench):
         invocations=[{"app": "app", "argv": ["train/t.csv"]}],
     )
     report = run_workflow(spec, ZERO_COPY)
-    trail = assemble_record_trail(spec, report, "out")
+    trail = assemble_record_trail(spec, report, "out", open_images(spec))
     assert [r.name for r in trail.record_trail] == [
         "eval", "train", "app", "output"]
 
@@ -249,7 +250,7 @@ def test_name_ties_break_on_component_id(workbench):
         invocations=[{"app": "app", "argv": ["m1/x.txt"]}],
     )
     report = run_workflow(spec, ZERO_COPY)
-    trail = assemble_record_trail(spec, report, "out")
+    trail = assemble_record_trail(spec, report, "out", open_images(spec))
     first, second = trail.record_trail[0], trail.record_trail[1]
     assert first.name == second.name == "twin"
     assert first.uuid == str(uuidlib.UUID(
@@ -281,7 +282,7 @@ def test_only_writer_apps_and_their_inputs_appear(workbench):
         ],
     )
     report = run_workflow(spec, ZERO_COPY)
-    trail = assemble_record_trail(spec, report, "out")
+    trail = assemble_record_trail(spec, report, "out", open_images(spec))
     assert [r.name for r in trail.record_trail] == ["in1", "app1", "output"]
 
 
@@ -293,7 +294,7 @@ def test_apps_bound_but_never_invoked_are_not_writers(workbench):
     spec.bindings.append(
         type(spec.bindings[0])("out", "Outputs", "idle", "Outputs"))
     report = run_workflow(spec, ZERO_COPY)
-    trail = assemble_record_trail(spec, report, "out")
+    trail = assemble_record_trail(spec, report, "out", open_images(spec))
     assert [r.name for r in trail.record_trail] == ["input", "app", "output"]
 
 
@@ -303,7 +304,7 @@ def test_apps_bound_but_never_invoked_are_not_writers(workbench):
 def test_attach_creates_a_metadata_partition(workbench):
     spec = workbench.identity_spec()
     report = run_workflow(spec, ZERO_COPY)
-    trail = assemble_record_trail(spec, report, "out")
+    trail = assemble_record_trail(spec, report, "out", open_images(spec))
     with BoxImage.open(workbench.root / "output.boxi") as image:
         pid = attach_metadata(image, trail)
     assert pid == 2
@@ -322,7 +323,7 @@ def test_attach_creates_a_metadata_partition(workbench):
 def test_attach_replaces_in_place(workbench):
     spec = workbench.identity_spec()
     report = run_workflow(spec, ZERO_COPY)
-    trail = assemble_record_trail(spec, report, "out")
+    trail = assemble_record_trail(spec, report, "out", open_images(spec))
     with BoxImage.open(workbench.root / "output.boxi") as image:
         first = attach_metadata(image, trail)
         second = attach_metadata(image, trail)
@@ -334,7 +335,7 @@ def test_attach_replaces_in_place(workbench):
 def test_attach_collapses_stray_metadata_partitions(workbench):
     spec = workbench.identity_spec()
     report = run_workflow(spec, ZERO_COPY)
-    trail = assemble_record_trail(spec, report, "out")
+    trail = assemble_record_trail(spec, report, "out", open_images(spec))
     with BoxImage.open(workbench.root / "output.boxi") as image:
         image.add_partition(b"{}", datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,
                             parttype=PART_METADATA, arch=ARCH_ANY, name="stray1")
@@ -353,7 +354,7 @@ def test_attach_stamps_the_trail_with_the_header_it_is_stored_under(workbench, m
     output = workbench.root / "output.boxi"
     for _ in range(2):  # the first attach adds the trail, the second replaces it
         report = run_workflow(spec, ZERO_COPY)
-        trail = assemble_record_trail(spec, report, "out")
+        trail = assemble_record_trail(spec, report, "out", open_images(spec))
         with BoxImage.open(output) as image:
             attach_metadata(image, trail)
         stored = json.loads(next(r["payload"] for r in read_descriptors(output)
@@ -391,13 +392,11 @@ def test_read_trail_rejects_garbage_payload(workbench):
 
 
 def test_trails_are_stable_up_to_ids_and_times(tmp_path):
-    from .conftest import Workbench
-
     masked = []
     for attempt in ("one", "two"):
         bench = Workbench(tmp_path / attempt)
         spec = bench.identity_spec(label="stability")
         report = run_workflow(spec, ZERO_COPY)
-        trail = assemble_record_trail(spec, report, "out")
+        trail = assemble_record_trail(spec, report, "out", open_images(spec))
         masked.append(mask_trail(trail.to_mapping()))
     assert masked[0] == masked[1]

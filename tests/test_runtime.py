@@ -372,6 +372,26 @@ def test_a_run_opens_each_image_once(tmp_path, monkeypatch, mode):
     assert len(opened) == len(set(opened)) == 7
 
 
+def _identity_flow(root: Path) -> Path:
+    data = root / "data"
+    data.mkdir()
+    (data / "a.txt").write_bytes(b"alpha\n")
+    return scenarios.build_identity_fixture(root / "flow", data)
+
+
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
+@pytest.mark.parametrize("flow, images", [
+    (lambda root: scenarios.build_scenario(2, root), 7),
+    (_identity_flow, 3),
+], ids=["scenario2", "identity"])
+def test_boxi_run_opens_each_image_once(tmp_path, monkeypatch, capsys, mode, flow, images):
+    # the trails are read from the plan's handles, and no output is reopened
+    workflow = flow(tmp_path)
+    opened = _counting_opens(monkeypatch)
+    assert main(["run", "--mode", mode, str(workflow)]) == 0
+    assert len(opened) == len(set(opened)) == images
+
+
 def test_a_transfer_opens_its_two_images_once(workbench, monkeypatch):
     src, dst = transfer_fixture(workbench)
     opened = _counting_opens(monkeypatch)
@@ -813,7 +833,7 @@ def test_report_mapping_shape(workbench):
     report = run_workflow(workbench.identity_spec(), ZERO_COPY)
     mapping = report.to_mapping()
     assert list(mapping) == ["label", "mode", "invocations", "copy_events",
-                             "outputs_written", "bindings_used"]
+                             "outputs_written", "bindings_used", "trails_attached"]
     assert [list(rec) for rec in mapping["invocations"]] == [
         ["component_id", "argv", "started_ns", "finished_ns", "exit_status",
          "stderr_tail"]]
@@ -827,6 +847,7 @@ def test_report_mapping_shape(workbench):
         {"component_id": "out", "partition_ids": [1]}]
     assert mapping["bindings_used"] == [
         "in:/ -> app:/Inputs", "out:/Outputs -> app:/Outputs"]
+    assert mapping["trails_attached"] == []  # no trail function
 
 
 # --- direct transfers ---------------------------------------------------------
