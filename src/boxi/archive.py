@@ -256,18 +256,23 @@ def with_parents(entries: list[ArchiveEntry],
     return [*entries, *added]
 
 
-def graft(blob: bytes, inner: str, subtree: list[ArchiveEntry]) -> list[ArchiveEntry]:
-    """The entries of blob with everything below inner ("" is the root)
-    replaced by subtree, re-rooted there.
+def graft(base: bytes | list[ArchiveEntry], inner: str,
+          subtree: list[ArchiveEntry]) -> list[ArchiveEntry]:
+    """The entries of base, a blob or a list of entries, with everything
+    below inner ("" is the root) replaced by subtree, re-rooted there.
 
-    Every entry of blob is verified, but nothing below inner is copied. An
-    inner directory keeps its mode; a missing inner path or parent, or a
-    file in its place, becomes a with_parents directory.
+    Every entry of a blob is verified, but nothing below inner is copied,
+    so a caller can drop the blob before it builds subtree:
+    graft(graft(blob, inner, []), inner, subtree). An inner directory keeps
+    its mode; a missing inner path or parent, or a file in its place,
+    becomes a with_parents directory.
     """
     prefix = f"{inner}/" if inner else ""
     spots = {entry.path for entry in with_parents([], [inner])}
+    walked = (_walk(base) if not isinstance(base, list) else
+              [(entry.path, entry.mode, entry.content) for entry in base])
     entries = [ArchiveEntry(path, mode, None if content is None else bytes(content))
-               for path, mode, content in _walk(blob)
+               for path, mode, content in walked
                if not path.startswith(prefix) and (content is None or path not in spots)]
     entries.extend(ArchiveEntry(prefix + entry.path, entry.mode, entry.content)
                    for entry in subtree)

@@ -12,7 +12,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 from .bench import bench_space, bench_time, bench_transfer
 from .errors import BoxiError, IoError
@@ -27,9 +27,8 @@ from .image import (
 )
 from .packager import (Recipe, build_app_image, pack_data_dir, pack_empty_output,
                        parse_recipe, utf8_text)
-from .provenance import RecordTrail, _trail_payload, assemble_record_trail, stamped
-from .runtime import (MODES, ZERO_COPY, ExecutionReport, load_workflow, run_workflow,
-                      workflow_from_mapping)
+from .provenance import RecordTrail, _trail_payload
+from .runtime import MODES, ZERO_COPY, load_workflow, run_workflow, workflow_from_mapping
 from .standins import SLEEPER, write_script
 
 
@@ -178,14 +177,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 # --- execution ---------------------------------------------------------------------
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = load_workflow(args.workflow)
-
-    def trail(report: ExecutionReport, output_id: str,
-              images: Mapping[str, BoxImage], modified_at: int) -> bytes:
-        return stamped(assemble_record_trail(spec, report, output_id, images),
-                       modified_at).to_json()
-
-    report = run_workflow(spec, args.mode, None if args.no_trail else trail)
+    report = run_workflow(load_workflow(args.workflow), args.mode, not args.no_trail)
     if args.json:
         print(json.dumps(report.to_mapping(), indent=2))
     else:

@@ -437,16 +437,14 @@ class BoxImage:
         the same commit. payload may be a function of that commit's
         modified-at time, so that it can name the header it is stored under.
         """
-        self._ensure_open()
-        existing = self.find(parttype=PART_METADATA)
-        if len(existing) == 1:
-            partitions, pid = list(self._partitions), existing[0].partition_id
-        else:
-            kept = [part for part in self._partitions if part not in existing]
-            added = _new_descriptor(kept, self.name, _METADATA)
-            partitions, pid = [*kept, added], added.partition_id
+        partitions, pid = self._with_metadata()
         self._commit(partitions, {**(changed or {}), pid: payload})
         return pid
+
+    def metadata_partition_id(self) -> int:
+        """The id store_metadata would store under now; raises
+        NoFreePartitionId, before anything is written, when there is none."""
+        return self._with_metadata()[1]
 
     def close(self) -> None:
         """Invalidate the handle. Every change is already on disk."""
@@ -463,6 +461,18 @@ class BoxImage:
     def _ensure_open(self) -> None:
         if self._closed:
             raise IoError(f"{self.name}: image handle is closed")
+
+    def _with_metadata(self) -> tuple[list[PartitionDescriptor], int]:
+        """The partitions of a commit that stores a single metadata partition,
+        and that partition's id: the one metadata partition's own, or else
+        the next free id, after any strays are dropped."""
+        self._ensure_open()
+        existing = self.find(parttype=PART_METADATA)
+        if len(existing) == 1:
+            return list(self._partitions), existing[0].partition_id
+        kept = [part for part in self._partitions if part not in existing]
+        added = _new_descriptor(kept, self.name, _METADATA)
+        return [*kept, added], added.partition_id
 
     def _write(self, fh: BinaryIO, modified_at: int,
                partitions: list[PartitionDescriptor],

@@ -9,12 +9,11 @@ partition of the output image, so the data carries its own history.
 
 Records are read from open image handles, in a run the plan's, so a trail
 names the headers the run read even if an image file is replaced meanwhile.
-A trail is stamped when it is stored: its output record takes the
+attach_metadata stores every trail, stamped: its output record takes the
 modified-at time of the commit that stores it, so it names the header it
-is stored under. `boxi run` hands run_workflow a function that renders each
-stamped trail, so the new data partition and its trail are written in one
-rewrite of the output; attach_metadata stores a trail on its own, in one
-rewrite too.
+is stored under. A run with trails calls it once per output with the new
+data partition, so data and trail land in one rewrite. runtime imports
+this module, never the other way round, so the role names live here.
 
 The trail is written in the canonical JSON form defined in document.py.
 Its keys are the fields of RecordTrail and ComponentRecord, in order:
@@ -37,7 +36,7 @@ from __future__ import annotations
 import json
 import uuid as uuidlib
 from dataclasses import dataclass, fields, replace
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .document import Document, canonical_json  # noqa: F401  (re-exported)
 from .errors import MalformedTrail, NoMetadataPartition, NotAnOutputOfRun
@@ -45,16 +44,17 @@ from .image import (  # noqa: F401  (METADATA_PARTITION_NAME re-exported)
     METADATA_PARTITION_NAME,
     PART_METADATA,
     BoxImage,
+    Source,
     iso_utc,
 )
-from .runtime import (
-    ROLE_APPLICATION,
-    ROLE_INPUT,
-    ROLE_OUTPUT,
-    ROLES,
-    ExecutionReport,
-    WorkflowSpec,
-)
+
+if TYPE_CHECKING:
+    from .runtime import ExecutionReport, WorkflowSpec
+
+ROLE_INPUT = "input"
+ROLE_APPLICATION = "application"
+ROLE_OUTPUT = "output"
+ROLES = (ROLE_INPUT, ROLE_APPLICATION, ROLE_OUTPUT)
 
 SCHEMA_VERSION = 1
 
@@ -213,17 +213,20 @@ def stamped(trail: RecordTrail, modified_at: int) -> RecordTrail:
     return replace(trail, output=output, record_trail=(*trail.record_trail[:-1], output))
 
 
-def attach_metadata(image: BoxImage, trail: RecordTrail) -> int:
+def attach_metadata(image: BoxImage, trail: RecordTrail,
+                    changed: Mapping[int, Source] | None = None) -> int:
     """Store the trail, stamped with the commit's time, as the image's
     single metadata partition.
 
     An existing metadata partition keeps its id and gets the new payload,
     without its old one being read. Otherwise the trail is added, and any
-    stray metadata partitions are dropped. Either way the image is
-    rewritten whole, once, and swapped in atomically; see
+    stray metadata partitions are dropped. The payloads in changed, keyed
+    by partition id, are replaced in the same commit. Either way the image
+    is rewritten whole, once, and swapped in atomically; see
     BoxImage.store_metadata. Returns the partition id holding the trail.
     """
-    return image.store_metadata(lambda modified_at: stamped(trail, modified_at).to_json())
+    return image.store_metadata(lambda modified_at: stamped(trail, modified_at).to_json(),
+                                changed)
 
 
 def _trail_payload(image: BoxImage) -> bytes:

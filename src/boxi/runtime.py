@@ -28,10 +28,10 @@ system temp directory when it is unset, and is always removed at the end.
 Repacks run after every exec, so the report is complete before any output
 is committed, but for trails_attached. Each output is then one graft and
 one commit: its new data partition is encoded straight into the image
-file, and, when the caller passes a trail function, the output's record
-trail, rendered from the plan's images and the commit's modified-at time,
-goes into the same commit as its metadata partition, whose id the commit
-returns to trails_attached.
+file. A run with trails has provenance.attach_metadata store the output's
+record trail, assembled from the report and the plan's images, in that
+commit; the id of its metadata partition, checked before any application
+runs, goes to trails_attached.
 """
 
 from __future__ import annotations
@@ -45,9 +45,7 @@ import tempfile
 import time
 import uuid as uuidlib
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping
 
 from . import archive
 from .document import Document
@@ -66,15 +64,12 @@ from .errors import (
 )
 from .image import BoxImage, PART_DATA, PART_SYSTEM_PRIMARY
 from .packager import MANIFEST_PATH, SoftwareManifest
+from .provenance import (ROLE_APPLICATION, ROLE_OUTPUT, ROLES, assemble_record_trail,
+                         attach_metadata)
 
 ZERO_COPY = "zero-copy"
 TWO_COPY = "two-copy"
 MODES = (ZERO_COPY, TWO_COPY)
-
-ROLE_INPUT = "input"
-ROLE_APPLICATION = "application"
-ROLE_OUTPUT = "output"
-ROLES = (ROLE_INPUT, ROLE_APPLICATION, ROLE_OUTPUT)
 
 SANDBOX_ENV = "BOXI_SANDBOX"
 
@@ -439,11 +434,6 @@ class ExecutionReport(Document):
     trails_attached: list[TrailWrite] = field(default_factory=list)
 
 
-# Renders one output's record trail from the reported run, the run's open
-# images by path (MountPlan.images) and the storing commit's modified-at time.
-TrailFunction = Callable[[ExecutionReport, str, Mapping[str, BoxImage], int], bytes]
-
-
 def _make_run_dir() -> Path:
     base = Path(os.environ.get(SANDBOX_ENV) or tempfile.gettempdir())
     # Absolute, because runscripts are executed by path with cwd set to the view.
@@ -508,20 +498,24 @@ def _execute(view: Path, app_id: str, argv: tuple[str, ...]) -> InvocationRecord
     )
 
 
-def _run_plan(plan: MountPlan, trail: TrailFunction | None = None) -> ExecutionReport:
+def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionReport:
     """Run every step of a plan in a fresh run directory, removed at the end.
 
     The steps read and write only the plan's images, which are closed at
     the end. Repack steps run last, each output's through one graft and
-    one commit, which also stores the output's trail when a trail function
-    is given. The link and copy-in mounts of a view are snapshot before and
+    one commit, which also stores the output's trail for spec when one is
+    given; each output's trail partition id is checked before anything
+    runs. The link and copy-in mounts of a view are snapshot before and
     after its exec; a difference raises SandboxError. Otherwise the report
     is returned even when applications exit nonzero; only infrastructure
     failures raise.
     """
+    repacks = [step for step in plan.steps if step.op == REPACK]
+    if spec is not None:
+        for step in repacks:
+            plan.images[step.image].metadata_partition_id()
     run_dir = _make_run_dir()
     records: list[InvocationRecord] = []
-    repacks = [step for step in plan.steps if step.op == REPACK]
     try:
         for step in plan.steps:
             source, dst = run_dir / step.src / step.inner, run_dir / step.dst
@@ -571,14 +565,15 @@ def _run_plan(plan: MountPlan, trail: TrailFunction | None = None) -> ExecutionR
         )
         for step in repacks:
             image = plan.images[step.image]
+            # the old payload is dropped before the new tree is read
+            kept = archive.graft(image.dump_partition(step.partition_id), step.inner, [])
             pieces = archive.encode_pieces(archive.graft(
-                image.dump_partition(step.partition_id), step.inner,
-                archive.scan_dir(run_dir / step.src)))
-            if trail is None:
+                kept, step.inner, archive.scan_dir(run_dir / step.src)))
+            if spec is None:
                 image.update_partition(step.partition_id, pieces)
             else:
-                pid = image.store_metadata(partial(trail, report, step.component, plan.images),
-                                           {step.partition_id: pieces})
+                trail = assemble_record_trail(spec, report, step.component, plan.images)
+                pid = attach_metadata(image, trail, {step.partition_id: pieces})
                 report.trails_attached.append(TrailWrite(step.component, pid))
         return report
     finally:
@@ -588,18 +583,19 @@ def _run_plan(plan: MountPlan, trail: TrailFunction | None = None) -> ExecutionR
 
 
 def run_workflow(spec: WorkflowSpec, mode: str = ZERO_COPY,
-                 trail: TrailFunction | None = None) -> ExecutionReport:
+                 trail: bool = False) -> ExecutionReport:
     """Execute every invocation, repack written outputs, report what happened.
 
-    Each written output is rewritten once. With a trail function, the
-    output's trail, trail(report, output_id, images, modified_at) of the
-    images the run opened, is its metadata partition in that same rewrite.
+    Each written output is rewritten once. With trail set, its record
+    trail of the images the run opened is its metadata partition in that
+    same rewrite, stored by provenance.attach_metadata; an output with no
+    partition id left raises NoFreePartitionId before any app runs.
 
     The report is returned even when applications exit nonzero. Only
     infrastructure failures raise, and so does an application that changes
     a readable mount: SandboxError, before anything is repacked.
     """
-    return _run_plan(plan_mounts(spec, mode), trail)
+    return _run_plan(plan_mounts(spec, mode), spec if trail else None)
 
 
 # --- direct transfers -----------------------------------------------------------

@@ -428,6 +428,8 @@ def test_graft_keeps_the_outside_and_re_roots_the_subtree(tree, inner, subtree):
     sub = _tree_entries(subtree)
     grafted = graft(blob, inner, sub)
     encode_entries(grafted)  # a well-formed tree: no duplicates, nothing malformed
+    # grafting onto the entries kept from the blob gives the same tree
+    assert set(graft(graft(blob, inner, []), inner, sub)) == set(grafted)
 
     prefix = f"{inner}/" if inner else ""
     parts = inner.split("/") if inner else []

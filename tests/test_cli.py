@@ -473,15 +473,31 @@ def test_add_refuses_when_no_partition_id_is_left(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.boxi", "p.json"]
 
 
-def test_run_refuses_a_trail_when_no_partition_id_is_left(workbench, capsys):
+def test_run_refuses_a_trail_when_no_partition_id_is_left(workbench, monkeypatch, capsys):
     flow = identity_workflow(workbench)
     output = workbench.root / "output.boxi"
     _take_the_last_partition_id(output)
     before = output.read_bytes()
+    ran = []
+    real_execute = runtime._execute
+
+    def recorded_execute(*args):
+        ran.append(args)
+        return real_execute(*args)
+
+    monkeypatch.setattr(runtime, "_execute", recorded_execute)
+    sandbox = workbench.root / "sandbox"
+    sandbox.mkdir()
+    monkeypatch.setenv(runtime.SANDBOX_ENV, str(sandbox))
     assert main(["run", flow]) == 2
     assert "largest allowed" in capsys.readouterr().err
+    assert ran == []  # refused before any app ran, or any run directory was made
+    assert not list(sandbox.iterdir())
     assert output.read_bytes() == before
     assert not list(workbench.root.glob(".output.boxi.*"))
+    # without a trail no metadata partition id is needed
+    assert main(["run", "--no-trail", flow]) == 0
+    assert len(ran) == 1
 
 
 def test_del_removes_a_partition(tmp_path, capsys):

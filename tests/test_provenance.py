@@ -9,7 +9,7 @@ import uuid as uuidlib
 
 import pytest
 
-from boxi import standins
+from boxi import runtime, standins
 from boxi.errors import (
     MalformedTrail,
     NoMetadataPartition,
@@ -35,7 +35,7 @@ from boxi.provenance import (
     read_trail,
     stamped,
 )
-from boxi.runtime import ZERO_COPY, run_workflow
+from boxi.runtime import TWO_COPY, ZERO_COPY, TrailWrite, run_workflow
 
 from .conftest import Workbench, open_images
 from .oracles import mask_trail, read_descriptors, read_header
@@ -330,6 +330,35 @@ def test_attach_replaces_in_place(workbench):
         assert first == second
         assert len(image.find(parttype=PART_METADATA)) == 1
         assert read_trail(image) == stamped(trail, image.modified_at)
+
+
+def test_attach_replaces_the_changed_payloads_in_the_same_commit(workbench):
+    spec = workbench.identity_spec()
+    report = run_workflow(spec, ZERO_COPY)
+    trail = assemble_record_trail(spec, report, "out", open_images(spec))
+    with BoxImage.open(workbench.root / "output.boxi") as image:
+        pid = attach_metadata(image, trail, {1: [b"new ", b"data"]})
+        assert image.dump_partition(1) == b"new data"
+        assert read_trail(image) == stamped(trail, image.modified_at)
+    assert pid == 2
+
+
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
+def test_a_run_with_trails_stores_each_through_attach_metadata(workbench, monkeypatch, mode):
+    spec = workbench.identity_spec()
+    calls = []
+    real_attach = runtime.attach_metadata
+
+    def recorded_attach(image, trail, changed=None):
+        calls.append((image.name, trail.output.name, sorted(changed)))
+        return real_attach(image, trail, changed)
+
+    monkeypatch.setattr(runtime, "attach_metadata", recorded_attach)
+    report = run_workflow(spec, mode, trail=True)
+    assert calls == [("output", "output", [1])]  # the data partition, in the same commit
+    assert report.trails_attached == [TrailWrite("out", 2)]
+    with BoxImage.open(workbench.root / "output.boxi") as image:
+        assert read_trail(image).output.modified == iso_utc(image.modified_at)
 
 
 def test_attach_collapses_stray_metadata_partitions(workbench):

@@ -6,9 +6,13 @@ import json
 import shutil
 import stat
 import struct
+import tracemalloc
+import uuid
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from boxi import scenarios, standins
 from boxi.archive import ArchiveEntry, encode_entries, extract_dir
@@ -25,7 +29,7 @@ from boxi.errors import (
     UnknownComponent,
     WrongPartitionType,
 )
-from boxi.image import BoxImage
+from boxi.image import BoxImage, PART_DATA
 from boxi.packager import Recipe, build_app_image
 from boxi.runtime import (
     SANDBOX_ENV,
@@ -847,7 +851,22 @@ def test_report_mapping_shape(workbench):
         {"component_id": "out", "partition_ids": [1]}]
     assert mapping["bindings_used"] == [
         "in:/ -> app:/Inputs", "out:/Outputs -> app:/Outputs"]
-    assert mapping["trails_attached"] == []  # no trail function
+    assert mapping["trails_attached"] == []  # no trail asked for
+
+
+def test_a_rerun_drops_the_old_payload_before_it_reads_the_new_tree(workbench, tmp_path):
+    files = {f"part{index}.bin": bytes([index]) * (512 << 10) for index in range(8)}
+    spec = workbench.identity_spec(files)
+    run_workflow(spec, ZERO_COPY, trail=True)  # the output now holds the payload
+    tracemalloc.start()
+    try:
+        run_workflow(spec, ZERO_COPY, trail=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tree = output_tree(workbench.root / "output.boxi", tmp_path / "check")
+    assert {path: tree[f"Outputs/data/{path}"][2] for path in files} == files
+    assert peak < 1.5 * 8 * (512 << 10)  # the new tree, never the old payload too
 
 
 # --- direct transfers ---------------------------------------------------------
@@ -882,6 +901,39 @@ def test_transfer_modes_agree_byte_for_byte(workbench, tmp_path):
         two_payload = image.dump_partition(1)
     assert report.copy_events == 4
     assert zero_payload == two_payload
+
+
+# Modes keep the owner's write bit on directories, so that every tree can
+# be removed again by a user who is not root.
+_file_modes = st.sampled_from([0o400, 0o444, 0o600, 0o644, 0o700, 0o755])
+_dir_modes = st.sampled_from([0o700, 0o711, 0o750, 0o755, 0o775])
+_segments = st.text(alphabet="ab", min_size=1, max_size=2)
+_mode_trees = st.dictionaries(
+    st.lists(_segments, min_size=1, max_size=3).map("/".join),
+    st.tuples(_file_modes, st.binary(max_size=32)), max_size=6)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=_mode_trees, dir_mode=_dir_modes, inner=st.sampled_from(["Inputs", "a/b"]))
+def test_transfer_modes_agree_on_any_tree(workbench, files, dir_mode, inner):
+    # A file is named by its path plus ".f", so no file sits where a directory goes.
+    entries = [ArchiveEntry(f"{path}.f", stat.S_IFREG | mode, content)
+               for path, (mode, content) in files.items()]
+    dirs = {path.rsplit("/", depth)[0] for path in files
+            for depth in range(1, path.count("/") + 1)}
+    entries += [ArchiveEntry(path, stat.S_IFDIR | dir_mode, None) for path in dirs]
+    case = uuid.uuid4().hex  # the workbench is shared across examples
+    with BoxImage.open(workbench.output_image(name=f"src-{case}", dir_name="x")) as src:
+        src.update_partition(1, encode_entries(entries))
+    payloads = []
+    for transfer in (zero_copy_transfer, two_copy_transfer):
+        dst = workbench.output_image(name=f"{transfer.__name__}-{case}", dir_name="Inputs")
+        transfer(src.path, 1, dst, inner)
+        with BoxImage.open(dst) as image:
+            (part,) = image.find(parttype=PART_DATA)
+            payloads.append(image.dump_partition(part.partition_id))
+    assert payloads[0] == payloads[1]
 
 
 def test_transfer_into_nested_destination(workbench, tmp_path):
