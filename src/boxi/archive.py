@@ -26,10 +26,13 @@ encode_pieces checks and sorts the entries, then yields the blob in pieces,
 each file's content as it is, so an image writer can stream a tree into a
 file without joining it first; encode_entries joins the pieces.
 
-decode, graft, extract_dir and content_bytes share one validating walk over
-a memoryview of the blob, which checks every rule above before any of them
-returns anything or writes a file. decode copies each file's content into
-bytes; extract_dir writes the content views straight to disk.
+decode, entry_views, graft, extract_dir and content_bytes share one
+validating walk over a memoryview of the blob, which checks every rule above
+before any of them returns anything or writes a file. decode copies each
+file's content into bytes. entry_views keeps each as a view into the blob,
+so an entry's content is bytes or such a view: extract_dir writes the views
+straight to disk, and a zero-copy transfer splices them, through graft and
+encode_pieces, straight into the destination image.
 
 graft is the one tree edit: a repack grafts a new tree under one inner
 path and keeps the rest. with_parents is the one rule for implied directories.
@@ -61,12 +64,14 @@ _ENTRY_HEAD = struct.Struct("<IQ")  # mode, content size
 class ArchiveEntry:
     """One file or directory inside an archived tree.
 
-    content is None exactly when the entry is a directory.
+    content is None exactly when the entry is a directory. It may be a view
+    into a blob that has already been verified (entry_views), which is kept
+    as it is, not copied, until it is encoded or written.
     """
 
     path: str
     mode: int
-    content: bytes | None
+    content: bytes | memoryview | None
 
     @property
     def is_dir(self) -> bool:
@@ -242,6 +247,14 @@ def decode(blob: bytes) -> list[ArchiveEntry]:
             for path, mode, content in _walk(blob)]
 
 
+def entry_views(blob: bytes) -> list[ArchiveEntry]:
+    """The entries of a blob, every one verified, each file's content a view
+    into blob instead of a copy. A mode keeps only its file type and
+    permission bits, as extract_dir and then scan_dir would leave it."""
+    return [ArchiveEntry(path, stat.S_IFMT(mode) | stat.S_IMODE(mode), content)
+            for path, mode, content in _walk(blob)]
+
+
 def with_parents(entries: list[ArchiveEntry],
                  dirs: Iterable[str] = ()) -> list[ArchiveEntry]:
     """entries plus a 0o755 directory for each path in dirs and each parent
@@ -285,24 +298,24 @@ def extract_dir(blob: bytes, dest: Path | str) -> None:
     The whole blob is checked before anything is written, and each file is
     written straight from the blob, without a copy. Parent directories
     implied by a path are created even if the archive carries no entry for
-    them. Directory modes are applied last, deepest first, so a read-only
-    directory can still receive its children.
+    them, with with_parents' mode 0o755 whatever the umask. Directory modes
+    are applied last, children before parents, so a read-only directory can
+    still receive its children.
     """
-    entries = _walk(blob)
+    tree = with_parents(entry_views(blob))
+    directories = sorted((entry for entry in tree if entry.is_dir),
+                         key=lambda entry: entry.path)
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
-    directories: list[tuple[str, int]] = []
-    for path, mode, content in entries:
-        target = dest / path
-        if content is None:
-            target.mkdir(parents=True, exist_ok=True)
-            directories.append((path, mode))
-        else:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(content)
-            target.chmod(stat.S_IMODE(mode))
-    for path, mode in sorted(directories, key=lambda d: d[0].count("/"), reverse=True):
-        (dest / path).chmod(stat.S_IMODE(mode))
+    for entry in directories:  # a parent's path sorts before its children's
+        (dest / entry.path).mkdir(exist_ok=True)
+    for entry in tree:
+        if not entry.is_dir:
+            target = dest / entry.path
+            target.write_bytes(entry.content)
+            target.chmod(stat.S_IMODE(entry.mode))
+    for entry in reversed(directories):
+        (dest / entry.path).chmod(stat.S_IMODE(entry.mode))
 
 
 def content_bytes(blob: bytes) -> int:

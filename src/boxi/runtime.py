@@ -10,6 +10,9 @@ emit around it:
 
   zero-copy   materialize each readable partition once into a shared
               directory and link every view to it; repack each spot.
+              A materialize that no link reads is spliced, not unpacked:
+              its repack grafts the source's verified entries straight
+              into the destination's commit.
 
   two-copy    stage the readable partition and copy-in its bound subtree;
               copy-out each spot to staging after the exec, then repack.
@@ -21,7 +24,9 @@ rest (archive.graft), so both modes produce identical output bytes. An
 application that writes into a readable mount fails the run with
 SandboxError in both modes, before anything is repacked: in
 zero-copy the next view would see the change. The direct transfers are
-plans of the same steps with no application. The run directory is created
+plans of the same steps with no application: the zero-copy one splices, so
+its run directory stays empty, and the two-copy one stages through
+directories. The run directory is created
 under the BOXI_SANDBOX environment variable's directory, or under the
 system temp directory when it is unset, and is always removed at the end.
 
@@ -289,7 +294,9 @@ class Step:
     """One instruction of a plan; src and dst are relative to the run directory.
 
       view         unpack partition_id, the primary one, of image into dst
-      materialize  unpack partition_id of image into the shared directory dst
+      materialize  unpack partition_id of image into the shared directory dst;
+                   if no link or copy-in reads dst, its repack splices the
+                   partition's entries instead and nothing is unpacked
       stage        unpack partition_id of image into the staging directory dst
       spot         create the empty writable directory dst
       link         point the symlink dst at the directory inner under src
@@ -502,7 +509,10 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
     """Run every step of a plan in a fresh run directory, removed at the end.
 
     The steps read and write only the plan's images, which are closed at
-    the end. Repack steps run last, each output's through one graft and
+    the end. A materialize step whose directory no link or copy-in reads is
+    not unpacked; the repack that reads it takes the partition's entries
+    from its payload, dumped after the output's old payload is dropped.
+    Repack steps run last, each output's through one graft and
     one commit, which also stores the output's trail for spec when one is
     given; each output's trail partition id is checked before anything
     runs. The link and copy-in mounts of a view are snapshot before and
@@ -514,10 +524,15 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
     if spec is not None:
         for step in repacks:
             plan.images[step.image].metadata_partition_id()
+    mounted = {step.src for step in plan.steps if step.op in (LINK, COPY_IN)}
+    spliced = {step.dst: (step.image, step.partition_id) for step in plan.steps
+               if step.op == MATERIALIZE and step.dst not in mounted}
     run_dir = _make_run_dir()
     records: list[InvocationRecord] = []
     try:
         for step in plan.steps:
+            if step.dst in spliced:
+                continue
             source, dst = run_dir / step.src / step.inner, run_dir / step.dst
             if step.op in (VIEW, MATERIALIZE, STAGE):
                 archive.extract_dir(
@@ -552,7 +567,7 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
                     raise SandboxError(f"{step.op} {step.dst}: {exc}") from exc
 
         for step in repacks:
-            if not (run_dir / step.src).is_dir():
+            if step.src not in spliced and not (run_dir / step.src).is_dir():
                 raise SandboxError(f"{step.component}: {step.src} is gone before repack")
         report = ExecutionReport(
             label=plan.label,
@@ -567,8 +582,12 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
             image = plan.images[step.image]
             # the old payload is dropped before the new tree is read
             kept = archive.graft(image.dump_partition(step.partition_id), step.inner, [])
-            pieces = archive.encode_pieces(archive.graft(
-                kept, step.inner, archive.scan_dir(run_dir / step.src)))
+            if step.src in spliced:
+                src_image, src_pid = spliced[step.src]
+                tree = archive.entry_views(plan.images[src_image].dump_partition(src_pid))
+            else:
+                tree = archive.scan_dir(run_dir / step.src)
+            pieces = archive.encode_pieces(archive.graft(kept, step.inner, tree))
             if spec is None:
                 image.update_partition(step.partition_id, pieces)
             else:
@@ -627,8 +646,11 @@ def zero_copy_transfer(src_image: Path | str, src_partition: int,
                        dst_image: Path | str, dst_inner_path: str) -> ExecutionReport:
     """Move a data partition's tree under dst_inner_path of the destination.
 
-    The tree is materialized once, directly at the directory that is
-    repacked into the destination partition: two copy events, no staging.
+    The materialize and the repack are spliced: the source partition's
+    verified entries are grafted, as views into its payload, straight into
+    the destination's commit, so no tree is extracted or rescanned. The
+    source is read only after the destination's old payload has been
+    dropped. Two copy events, no staging, an empty run directory.
     """
     return _run_plan(_plan_transfer(ZERO_COPY, src_image, src_partition,
                                     dst_image, dst_inner_path))

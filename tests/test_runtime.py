@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import stat
 import struct
@@ -14,11 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from boxi import scenarios, standins
-from boxi.archive import ArchiveEntry, encode_entries, extract_dir
+from boxi import archive, scenarios, standins
+from boxi.archive import ArchiveEntry, decode, encode_entries, extract_dir
 from boxi.cli import main
 from boxi.errors import (
     ConflictingWrites,
+    CorruptPartition,
     CyclicBinding,
     InvalidName,
     InvalidWorkflowSpec,
@@ -29,7 +31,7 @@ from boxi.errors import (
     UnknownComponent,
     WrongPartitionType,
 )
-from boxi.image import BoxImage, PART_DATA
+from boxi.image import BoxImage
 from boxi.packager import Recipe, build_app_image
 from boxi.runtime import (
     SANDBOX_ENV,
@@ -903,6 +905,22 @@ def test_transfer_modes_agree_byte_for_byte(workbench, tmp_path):
     assert zero_payload == two_payload
 
 
+def _transfer_payloads(workbench, entries, inner="Inputs", own=False):
+    """The destination data partitions left by each transfer mode, moving a
+    partition that holds entries; with own set, into its own image."""
+    payloads = []
+    for transfer in (zero_copy_transfer, two_copy_transfer):
+        case = f"{transfer.__name__}-{uuid.uuid4().hex}"  # Hypothesis shares the workbench
+        src = workbench.output_image(name=f"src-{case}", dir_name="x")
+        with BoxImage.open(src) as image:
+            image.update_partition(1, encode_entries(entries))
+        dst = src if own else workbench.output_image(name=f"dst-{case}", dir_name="Inputs")
+        transfer(src, 1, dst, inner)
+        with BoxImage.open(dst) as image:
+            payloads.append(image.dump_partition(1))
+    return payloads
+
+
 # Modes keep the owner's write bit on directories, so that every tree can
 # be removed again by a user who is not root.
 _file_modes = st.sampled_from([0o400, 0o444, 0o600, 0o644, 0o700, 0o755])
@@ -923,17 +941,93 @@ def test_transfer_modes_agree_on_any_tree(workbench, files, dir_mode, inner):
     dirs = {path.rsplit("/", depth)[0] for path in files
             for depth in range(1, path.count("/") + 1)}
     entries += [ArchiveEntry(path, stat.S_IFDIR | dir_mode, None) for path in dirs]
-    case = uuid.uuid4().hex  # the workbench is shared across examples
-    with BoxImage.open(workbench.output_image(name=f"src-{case}", dir_name="x")) as src:
-        src.update_partition(1, encode_entries(entries))
+    zero, two = _transfer_payloads(workbench, entries, inner)
+    assert zero == two
+
+
+_EDGE_TREES = {
+    # extract_dir then scan_dir keeps only the type and permission bits
+    "mode-above-0o177777": ([ArchiveEntry("f.txt", stat.S_IFREG | 0o644 | 1 << 20, b"f")],
+                            False),
+    "setuid-and-sticky": ([ArchiveEntry("s", stat.S_IFDIR | stat.S_ISVTX | 0o755, None),
+                           ArchiveEntry("s/tool", stat.S_IFREG | stat.S_ISUID | 0o755, b"t")],
+                          False),
+    "into-its-own-partition": ([ArchiveEntry("d", stat.S_IFDIR | 0o750, None),
+                                ArchiveEntry("d/f.txt", stat.S_IFREG | 0o600, b"own")],
+                               True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_TREES))
+def test_transfer_modes_agree_on_edge_trees(workbench, case):
+    entries, own = _EDGE_TREES[case]
+    zero, two = _transfer_payloads(workbench, entries, "Copy", own)
+    assert zero == two
+    if own:  # the copy holds the partition as it was before the transfer
+        tree = {entry.path: entry.content for entry in decode(zero)}
+        assert tree["d/f.txt"] == tree["Copy/d/f.txt"] == b"own"
+        assert "Copy/Copy" not in tree
+
+
+def test_an_implied_parent_packs_alike_under_any_umask(workbench):
+    # a/b.txt with no entry for a: the transfer has to create a directory
+    entries = [ArchiveEntry("a/b.txt", stat.S_IFREG | 0o644, b"b")]
     payloads = []
-    for transfer in (zero_copy_transfer, two_copy_transfer):
-        dst = workbench.output_image(name=f"{transfer.__name__}-{case}", dir_name="Inputs")
-        transfer(src.path, 1, dst, inner)
-        with BoxImage.open(dst) as image:
-            (part,) = image.find(parttype=PART_DATA)
-            payloads.append(image.dump_partition(part.partition_id))
-    assert payloads[0] == payloads[1]
+    for mask in (0o022, 0o077):
+        old = os.umask(mask)
+        try:
+            payloads += _transfer_payloads(workbench, entries)
+        finally:
+            os.umask(old)
+    assert len(set(payloads)) == 1
+    tree = {entry.path: entry.mode for entry in decode(payloads[0])}
+    assert tree["Inputs/a"] == stat.S_IFDIR | 0o755
+
+
+def _no_sandbox_tree(*args, **kwargs):
+    raise AssertionError("a zero-copy transfer extracted or scanned a tree")
+
+
+def test_a_zero_copy_transfer_touches_no_sandbox_tree(workbench, tmp_path, monkeypatch):
+    src, dst = transfer_fixture(workbench)
+    sandbox = tmp_path / "sandbox"
+    sandbox.mkdir()
+    monkeypatch.setenv(SANDBOX_ENV, str(sandbox))
+    monkeypatch.setattr(archive, "extract_dir", _no_sandbox_tree)
+    monkeypatch.setattr(archive, "scan_dir", _no_sandbox_tree)
+    zero_copy_transfer(src, 1, dst, "/Inputs")
+    tree = output_tree(dst, tmp_path / "check")  # output_tree binds its own extract_dir
+    assert tree["Inputs/d/b.txt"][2] == b"beta"
+    assert list(sandbox.iterdir()) == []
+
+    with BoxImage.open(src) as image:
+        offset = image.descriptor(1).payload_offset
+    data = bytearray(src.read_bytes())
+    data[offset] ^= 0xFF
+    src.write_bytes(bytes(data))
+    before = dst.read_bytes()
+    with pytest.raises(CorruptPartition) as caught:
+        zero_copy_transfer(src, 1, dst, "/Inputs")
+    assert caught.value.exit_code == 4
+    assert dst.read_bytes() == before
+    assert list(sandbox.iterdir()) == []
+
+
+def test_a_repeated_transfer_holds_one_payload_at_a_time(workbench):
+    files = {f"part{index}.bin": bytes([index]) * (512 << 10) for index in range(8)}
+    src = workbench.input_image(files, name="src", dir_name="payload")
+    dst = workbench.output_image(name="dst", dir_name="Inputs")
+    zero_copy_transfer(src, 1, dst, "/Inputs")  # the destination now holds the payload
+    tracemalloc.start()
+    try:
+        zero_copy_transfer(src, 1, dst, "/Inputs")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with BoxImage.open(dst) as image:
+        tree = {entry.path: entry.content for entry in decode(image.dump_partition(1))}
+    assert {path: tree[f"Inputs/{path}"] for path in files} == files
+    assert peak < 1.5 * 8 * (512 << 10)  # the source is dumped once the old payload is gone
 
 
 def test_transfer_into_nested_destination(workbench, tmp_path):
