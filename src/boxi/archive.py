@@ -24,15 +24,19 @@ The root directory itself is not an entry; only its contents are.
 
 encode_pieces checks and sorts the entries, then yields the blob in pieces,
 each file's content as it is, so an image writer can stream a tree into a
-file without joining it first; encode_entries joins the pieces.
+file without joining it first; encode_entries joins the pieces. A file's
+content is bytes, a view into a verified blob, or a LazyContent: a size,
+and pieces read only when encode_pieces yields them. scan_dir records each
+file by its lstat and reads it then; splice streams a source blob's
+contents from its verified chunks.
 
-decode, entry_views, graft, extract_dir and content_bytes share one
-validating walk over a memoryview of the blob, which checks every rule above
-before any of them returns anything or writes a file. decode copies each
-file's content into bytes. entry_views keeps each as a view into the blob,
-so an entry's content is bytes or such a view: extract_dir writes the views
-straight to disk, and a zero-copy transfer splices them, through graft and
-encode_pieces, straight into the destination image.
+One validating walk checks every rule above, entry by entry, over three
+byte sources: a whole blob, whose contents stay views into it (decode,
+extract_dir); consecutive chunks, each valid only until the next is read,
+such as a partition read through its checksum (decode, graft,
+content_bytes, and splice's contents); and a header-only pass over a file,
+which seeks past contents (splice). Over chunks, a broken rule is raised
+only after they are read to their end, so a checksum failure comes first.
 
 graft is the one tree edit: a repack grafts a new tree under one inner
 path and keeps the rest. with_parents is the one rule for implied directories.
@@ -40,14 +44,18 @@ path and keeps the rest. with_parents is the one rule for implied directories.
 
 from __future__ import annotations
 
+import errno
+import io
+import os
 import re
 import stat
 import struct
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, Union
 
-from .errors import MalformedArchive, UnsupportedEntry
+from .errors import FileChanged, MalformedArchive, UnsupportedEntry
 
 MAGIC = b"BDA1"
 
@@ -59,19 +67,37 @@ _PREAMBLE = struct.Struct("<4sI")
 _PATH_LEN = struct.Struct("<H")
 _ENTRY_HEAD = struct.Struct("<IQ")  # mode, content size
 
+# A scanned file is read in pieces of at most this many bytes.
+_READ_BYTES = 1 << 20
+
+Chunk = Union[bytes, bytearray, memoryview]
+
+
+@dataclass(frozen=True)
+class LazyContent:
+    """File content of a known size, whose pieces are read only when
+    encode_pieces yields them, each valid only until the next is asked for.
+    A source that no longer matches what was recorded raises instead."""
+
+    size: int
+    pieces: Callable[[], Iterator[Chunk]]
+
+    def __len__(self) -> int:
+        return self.size
+
 
 @dataclass(frozen=True)
 class ArchiveEntry:
     """One file or directory inside an archived tree.
 
     content is None exactly when the entry is a directory. It may be a view
-    into a blob that has already been verified (entry_views), which is kept
-    as it is, not copied, until it is encoded or written.
+    into a blob that has already been verified, which is kept as it is, not
+    copied, until it is encoded or written, or a LazyContent.
     """
 
     path: str
     mode: int
-    content: bytes | memoryview | None
+    content: bytes | memoryview | LazyContent | None
 
     @property
     def is_dir(self) -> bool:
@@ -96,25 +122,30 @@ def _check_path(path: str) -> bytes:
     return raw
 
 
-def _check_tree(paths: list[tuple[str, bool]]) -> None:
-    """Refuse (path, is_file) pairs unless the paths strictly ascend in code
-    point order, which is UTF-8 byte order, and none lies below a file."""
-    files: set[str] = set()
-    dirs: set[str] = set()  # directory entries and the parents they imply
-    for index, (path, is_file) in enumerate(paths):
-        if index and path <= paths[index - 1][0]:
+class _Tree:
+    """Checks paths one at a time: they must strictly ascend in code point
+    order, which is UTF-8 byte order, and none may lie below a file."""
+
+    def __init__(self) -> None:
+        self._last = ""  # no checked path is empty
+        self._files: set[str] = set()
+        self._dirs: set[str] = set()  # directory entries and the parents they imply
+
+    def add(self, index: int, path: str, is_file: bool) -> None:
+        if path <= self._last:
             raise MalformedArchive(f"entry {index}: path repeated or out of order: {path!r}")
+        self._last = path
         parent = path.rpartition("/")[0]
-        while parent and parent not in dirs:
-            if parent in files:
+        while parent and parent not in self._dirs:
+            if parent in self._files:
                 raise MalformedArchive(f"entry {index}: {path!r} lies below a file")
-            dirs.add(parent)
+            self._dirs.add(parent)
             parent = parent.rpartition("/")[0]
-        (files if is_file else dirs).add(path)
+        (self._files if is_file else self._dirs).add(path)
 
 
 def _canonical(entries: list[ArchiveEntry]) -> list[tuple[bytes, ArchiveEntry]]:
-    """Check every entry and sort by UTF-8 path bytes; see _check_tree."""
+    """Check every entry and sort by UTF-8 path bytes; see _Tree."""
     keyed = []
     for entry in entries:
         raw = _check_path(entry.path)
@@ -127,25 +158,30 @@ def _canonical(entries: list[ArchiveEntry]) -> list[tuple[bytes, ArchiveEntry]]:
             raise MalformedArchive(f"file without content: {entry.path!r}")
         keyed.append((raw, entry))
     keyed.sort(key=lambda pair: pair[0])
-    _check_tree([(entry.path, not entry.is_dir) for _, entry in keyed])
+    tree = _Tree()
+    for index, (_, entry) in enumerate(keyed):
+        tree.add(index, entry.path, not entry.is_dir)
     return keyed
 
 
-def _pieces(keyed: list[tuple[bytes, ArchiveEntry]]) -> Iterator[bytes]:
+def _pieces(keyed: list[tuple[bytes, ArchiveEntry]]) -> Iterator[Chunk]:
     yield _PREAMBLE.pack(MAGIC, len(keyed))
     for raw, entry in keyed:
         content = b"" if entry.content is None else entry.content
         yield _PATH_LEN.pack(len(raw)) + raw + _ENTRY_HEAD.pack(entry.mode, len(content))
-        if content:
+        if isinstance(content, LazyContent):
+            yield from content.pieces()  # even when empty: the last spliced one drains
+        elif content:
             yield content
 
 
-def encode_pieces(entries: list[ArchiveEntry]) -> Iterator[bytes]:
+def encode_pieces(entries: list[ArchiveEntry]) -> Iterator[Chunk]:
     """The canonical blob of entries, as consecutive pieces.
 
     Every entry is checked and sorted before this returns, so a bad entry
     raises here rather than partway through the stream. File contents are
-    yielded as they are, without a copy.
+    yielded as they are, without a copy; a LazyContent is read as its
+    pieces are yielded, so a piece may be valid only until the next.
     """
     return _pieces(_canonical(entries))
 
@@ -156,7 +192,39 @@ def encode_entries(entries: list[ArchiveEntry]) -> bytes:
     Entries may arrive in any order; they are sorted by UTF-8 path bytes
     here. Duplicate paths are rejected.
     """
-    return b"".join(encode_pieces(entries))
+    blob = io.BytesIO()
+    blob.writelines(encode_pieces(entries))  # each piece is copied before the next is read
+    return blob.getvalue()
+
+
+def _read_scanned(path: Path, scanned: os.stat_result) -> Iterator[bytes]:
+    """The file scan_dir's lstat found at path, opened without following a
+    symlink; FileChanged unless it is still that regular file, of that
+    size, ending exactly there."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    except OSError as exc:
+        if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENXIO):
+            raise FileChanged(f"{path} is gone or no longer a file: {exc}") from None
+        raise
+    try:
+        info = os.fstat(fd)
+        if (not stat.S_ISREG(info.st_mode) or info.st_size != scanned.st_size
+                or (info.st_dev, info.st_ino) != (scanned.st_dev, scanned.st_ino)):
+            raise FileChanged(f"{path} changed after it was scanned")
+        left = scanned.st_size
+        while True:
+            asked = min(left + 1, _READ_BYTES)  # a byte past the recorded end finds it
+            piece = os.read(fd, asked)
+            left -= len(piece)
+            if left < 0 or (left and len(piece) < asked):
+                raise FileChanged(f"{path} changed while it was read")
+            if piece:
+                yield piece
+            if len(piece) < asked:
+                return
+    finally:
+        os.close(fd)
 
 
 def _scan_tree(root: Path, prefix: str) -> list[ArchiveEntry]:
@@ -175,7 +243,8 @@ def _scan_tree(root: Path, prefix: str) -> list[ArchiveEntry]:
             entries.append(ArchiveEntry(rel, st.st_mode, None))
             entries.extend(_scan_tree(child, rel + "/"))
         elif stat.S_ISREG(st.st_mode):
-            entries.append(ArchiveEntry(rel, st.st_mode, child.read_bytes()))
+            entries.append(ArchiveEntry(rel, st.st_mode,
+                                        LazyContent(st.st_size, partial(_read_scanned, child, st))))
         else:
             raise UnsupportedEntry(f"cannot archive {rel!r}: not a file or directory")
     return entries
@@ -184,8 +253,9 @@ def _scan_tree(root: Path, prefix: str) -> list[ArchiveEntry]:
 def scan_dir(root: Path | str) -> list[ArchiveEntry]:
     """Collect entries, with paths relative to root, for everything under it.
 
-    Symlinks, sockets, devices, and names that are not UTF-8 raise
-    UnsupportedEntry.
+    No file is read here: each file's content is a LazyContent of the size
+    lstat found, read when it is encoded. Symlinks, sockets, devices, and
+    names that are not UTF-8 raise UnsupportedEntry.
     """
     root = Path(root)
     if not root.is_dir():
@@ -193,66 +263,209 @@ def scan_dir(root: Path | str) -> list[ArchiveEntry]:
     return _scan_tree(root, "")
 
 
-def _walk(blob: bytes) -> list[tuple[str, int, memoryview | None]]:
-    """Path, mode and content of every entry, checking every encoding rule.
+class _Stream:
+    """A blob read front to back from consecutive chunks, each valid only
+    until the next is read; a whole blob is one chunk."""
 
-    The content is a view into blob, or None for a directory. Nothing is
-    returned unless the whole blob is well formed.
-    """
-    data = memoryview(blob)
-    if len(data) < _PREAMBLE.size:
+    def __init__(self, chunks: Iterable[Chunk]):
+        self._chunks = iter(chunks)
+        self._chunk = memoryview(b"")
+        self._at = 0  # read position in _chunk
+        self.pos = 0  # bytes read or skipped
+
+    def _advance(self) -> bool:
+        """Move to the next chunk that is not empty; False at the end."""
+        for chunk in self._chunks:
+            if len(chunk):
+                self._chunk, self._at = memoryview(chunk), 0
+                return True
+        return False
+
+    def pieces(self, n: int) -> Iterator[memoryview]:
+        """The next n bytes, or fewer at the end, as views into the chunks."""
+        while n and (self._at < len(self._chunk) or self._advance()):
+            piece = self._chunk[self._at:self._at + n]
+            self._at += len(piece)
+            self.pos += len(piece)
+            n -= len(piece)
+            yield piece
+
+    def read(self, n: int) -> memoryview | bytes:
+        """The next n bytes, or fewer at the end: a view, valid until the
+        next read, when they lie in one chunk, else a copy."""
+        if self._at + n <= len(self._chunk):
+            self._at += n
+            self.pos += n
+            return self._chunk[self._at - n:self._at]
+        return b"".join([bytes(piece) for piece in self.pieces(n)])  # copied as read
+
+    def skip(self, n: int) -> None:
+        for _ in self.pieces(n):
+            pass
+
+    def rest(self) -> int:
+        """Read to the end, so the chunks run their own final checks; the
+        number of bytes that were left."""
+        left = len(self._chunk) - self._at
+        self._chunk, self._at = memoryview(b""), 0
+        for chunk in self._chunks:
+            left += len(chunk)
+        return left
+
+    drain = rest
+
+
+class _Headers:
+    """A blob's size bytes in a file at its position, read for the headers
+    alone: contents are seeked past. Draining it reads chunks, the verified
+    stream of the same blob, to their end."""
+
+    def __init__(self, fh: BinaryIO, size: int, chunks: Iterable[Chunk]):
+        self._fh, self._size, self._chunks = fh, size, chunks
+        self.pos = 0
+
+    def read(self, n: int) -> bytes:
+        data = self._fh.read(min(n, self._size - self.pos))
+        self.pos += len(data)
+        return data
+
+    def skip(self, n: int) -> None:
+        n = min(n, self._size - self.pos)
+        self._fh.seek(n, os.SEEK_CUR)
+        self.pos += n
+
+    def rest(self) -> int:
+        return self._size - self.pos
+
+    def drain(self) -> None:
+        for _ in self._chunks:
+            pass
+
+
+def _walk(src: _Stream | _Headers) -> Iterator[tuple[str, int, int]]:
+    preamble = src.read(_PREAMBLE.size)
+    if len(preamble) < _PREAMBLE.size:
         raise MalformedArchive("blob shorter than the preamble")
-    magic, count = _PREAMBLE.unpack_from(data, 0)
+    magic, count = _PREAMBLE.unpack(preamble)
     if magic != MAGIC:
         raise MalformedArchive("bad archive magic")
-    pos = _PREAMBLE.size
-    entries: list[tuple[str, int, memoryview | None]] = []
+    tree = _Tree()
     for index in range(count):
-        if pos + _PATH_LEN.size > len(data):
+        raw = src.read(_PATH_LEN.size)
+        if len(raw) < _PATH_LEN.size:
             raise MalformedArchive(f"entry {index}: truncated path length")
-        (path_len,) = _PATH_LEN.unpack_from(data, pos)
-        pos += _PATH_LEN.size
-        if pos + path_len > len(data):
+        (path_len,) = _PATH_LEN.unpack(raw)
+        raw = src.read(path_len + _ENTRY_HEAD.size)
+        if len(raw) < path_len:
             raise MalformedArchive(f"entry {index}: truncated path")
         try:
-            path = str(data[pos:pos + path_len], "utf-8")
+            path = str(raw[:path_len], "utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedArchive(f"entry {index}: path is not UTF-8") from exc
-        pos += path_len
         _check_path(path)
-        if pos + _ENTRY_HEAD.size > len(data):
+        if len(raw) < path_len + _ENTRY_HEAD.size:
             raise MalformedArchive(f"entry {index}: truncated header")
-        mode, size = _ENTRY_HEAD.unpack_from(data, pos)
-        pos += _ENTRY_HEAD.size
+        mode, size = _ENTRY_HEAD.unpack_from(raw, path_len)
         if stat.S_ISDIR(mode):
             if size != 0:
                 raise MalformedArchive(f"entry {index}: directory with nonzero size")
-            entries.append((path, mode, None))
-            continue
-        if not stat.S_ISREG(mode):
+        elif not stat.S_ISREG(mode):
             raise MalformedArchive(f"entry {index}: unsupported mode {mode:#o}")
-        if pos + size > len(data):
-            raise MalformedArchive(f"entry {index}: truncated content")
-        entries.append((path, mode, data[pos:pos + size]))
-        pos += size
-    if pos != len(data):
-        raise MalformedArchive(f"{len(data) - pos} trailing bytes after last entry")
-    _check_tree([(path, content is not None) for path, _, content in entries])
-    return entries
+        tree.add(index, path, not stat.S_ISDIR(mode))
+        end = src.pos + size
+        yield path, mode, size
+        if src.pos < end:
+            src.skip(end - src.pos)
+            if src.pos < end:
+                raise MalformedArchive(f"entry {index}: truncated content")
+    left = src.rest()
+    if left:
+        raise MalformedArchive(f"{left} trailing bytes after last entry")
 
 
-def decode(blob: bytes) -> list[ArchiveEntry]:
-    """Parse a blob back into entries, verifying every encoding rule."""
-    return [ArchiveEntry(path, mode, None if content is None else bytes(content))
-            for path, mode, content in _walk(blob)]
+def _entries(src: _Stream | _Headers) -> Iterator[tuple[str, int, int]]:
+    """Path, mode and content size of each entry of the blob src reads,
+    checking every encoding rule on the way.
+
+    A file's content is the next size bytes of src, which the caller may
+    read before it asks for the next entry; what it leaves is skipped. The
+    walk ends by reading src to its end. A broken rule raises
+    MalformedArchive once src is drained, so that a checksum failure of the
+    chunks beneath it is raised instead.
+    """
+    try:
+        yield from _walk(src)
+    except MalformedArchive:
+        src.drain()
+        raise
 
 
-def entry_views(blob: bytes) -> list[ArchiveEntry]:
-    """The entries of a blob, every one verified, each file's content a view
-    into blob instead of a copy. A mode keeps only its file type and
-    permission bits, as extract_dir and then scan_dir would leave it."""
-    return [ArchiveEntry(path, stat.S_IFMT(mode) | stat.S_IMODE(mode), content)
-            for path, mode, content in _walk(blob)]
+def _stream(blob: Chunk | Iterable[Chunk]) -> _Stream:
+    return _Stream([blob] if isinstance(blob, (bytes, bytearray, memoryview)) else blob)
+
+
+def decode(blob: Chunk | Iterable[Chunk]) -> list[ArchiveEntry]:
+    """Parse a blob, whole or as consecutive chunks, back into entries,
+    verifying every encoding rule."""
+    src = _stream(blob)
+    return [ArchiveEntry(path, mode, None if stat.S_ISDIR(mode) else bytes(src.read(size)))
+            for path, mode, size in _entries(src)]
+
+
+class _SplicedBlob:
+    """The verified chunks of a spliced blob, walked in step with the
+    headers read ahead of them as encode_pieces asks for each content."""
+
+    def __init__(self, chunks: Iterable[Chunk], headers: list[tuple[str, int, int]]):
+        self._src = _Stream(chunks)
+        self._walk = _entries(self._src)
+        self._headers = headers
+        self._passed = 0  # entries walked
+        files = [index for index, (_, mode, _) in enumerate(headers) if not stat.S_ISDIR(mode)]
+        self._last = files[-1] if files else None
+        if self._last is None:  # no content will be asked for
+            self._finish()
+
+    def _expect(self, header: tuple[str, int, int] | None) -> None:
+        """Walk one entry, or the end when header is None, as read ahead."""
+        if next(self._walk, None) != header:
+            self._src.drain()
+            raise MalformedArchive("a spliced blob changed after its headers were read")
+
+    def _finish(self) -> None:
+        """The trailing headers, the trailing-bytes check and the chunks' own final check."""
+        for header in self._headers[self._passed:]:
+            self._expect(header)
+        self._expect(None)
+
+    def pieces(self, index: int) -> Iterator[memoryview]:
+        while self._passed <= index:
+            self._expect(self._headers[self._passed])
+            self._passed += 1
+        yield from self._src.pieces(self._headers[index][2])
+        if index == self._last:
+            self._finish()
+
+
+def splice(fh: BinaryIO, size: int, chunks: Iterable[Chunk]) -> list[ArchiveEntry]:
+    """The entries of a blob, read ahead from its headers, whose file
+    contents stream from its verified chunks as encode_pieces yields them.
+
+    fh is a file at the first of the blob's size bytes, which are not yet
+    verified, and chunks are the same bytes read through their checksum.
+    Only the headers are read from fh; a broken rule found there is raised
+    after chunks are drained, so a checksum failure comes first. Each
+    file's content is a LazyContent that reads the next stretch of chunks,
+    so they must be encoded in this order, as encode_pieces does; the last
+    one reads chunks to their end, and every header met on the way must
+    match the one read ahead. A mode keeps only its file type and
+    permission bits, as extract_dir and then scan_dir would leave it.
+    """
+    headers = list(_entries(_Headers(fh, size, chunks)))
+    read = _SplicedBlob(chunks, headers).pieces
+    return [ArchiveEntry(path, stat.S_IFMT(mode) | stat.S_IMODE(mode),
+                         None if stat.S_ISDIR(mode) else LazyContent(size, partial(read, index)))
+            for index, (path, mode, size) in enumerate(headers)]
 
 
 def with_parents(entries: list[ArchiveEntry],
@@ -269,31 +482,37 @@ def with_parents(entries: list[ArchiveEntry],
     return [*entries, *added]
 
 
-def graft(base: bytes | list[ArchiveEntry], inner: str,
+def graft(base: list[ArchiveEntry] | Chunk | Iterable[Chunk], inner: str,
           subtree: list[ArchiveEntry]) -> list[ArchiveEntry]:
-    """The entries of base, a blob or a list of entries, with everything
-    below inner ("" is the root) replaced by subtree, re-rooted there.
+    """The entries of base, a list of entries or a blob, whole or as an
+    iterator of its chunks, with everything below inner ("" is the root)
+    replaced by subtree, re-rooted there.
 
     Every entry of a blob is verified, but nothing below inner is copied,
-    so a caller can drop the blob before it builds subtree:
-    graft(graft(blob, inner, []), inner, subtree). An inner directory keeps
-    its mode; a missing inner path or parent, or a file in its place,
-    becomes a with_parents directory.
+    and only the kept contents are held, so a caller can drop the blob
+    before it builds subtree: graft(graft(blob, inner, []), inner, subtree).
+    An inner directory keeps its mode; a missing inner path or parent, or a
+    file in its place, becomes a with_parents directory.
     """
     prefix = f"{inner}/" if inner else ""
     spots = {entry.path for entry in with_parents([], [inner])}
-    walked = (_walk(base) if not isinstance(base, list) else
-              [(entry.path, entry.mode, entry.content) for entry in base])
-    entries = [ArchiveEntry(path, mode, None if content is None else bytes(content))
-               for path, mode, content in walked
-               if not path.startswith(prefix) and (content is None or path not in spots)]
+
+    def kept(path: str, mode: int) -> bool:
+        return not path.startswith(prefix) and (stat.S_ISDIR(mode) or path not in spots)
+
+    if isinstance(base, list):
+        entries = [entry for entry in base if kept(entry.path, entry.mode)]
+    else:
+        src = _stream(base)
+        entries = [ArchiveEntry(path, mode, None if stat.S_ISDIR(mode) else bytes(src.read(size)))
+                   for path, mode, size in _entries(src) if kept(path, mode)]
     entries.extend(ArchiveEntry(prefix + entry.path, entry.mode, entry.content)
                    for entry in subtree)
     return with_parents(entries, [inner])
 
 
 def extract_dir(blob: bytes, dest: Path | str) -> None:
-    """Materialize a blob under dest, creating dest if needed.
+    """Materialize a whole blob under dest, creating dest if needed.
 
     The whole blob is checked before anything is written, and each file is
     written straight from the blob, without a copy. Parent directories
@@ -302,7 +521,9 @@ def extract_dir(blob: bytes, dest: Path | str) -> None:
     are applied last, children before parents, so a read-only directory can
     still receive its children.
     """
-    tree = with_parents(entry_views(blob))
+    src = _Stream([blob])
+    tree = with_parents([ArchiveEntry(path, mode, None if stat.S_ISDIR(mode) else src.read(size))
+                         for path, mode, size in _entries(src)])
     directories = sorted((entry for entry in tree if entry.is_dir),
                          key=lambda entry: entry.path)
     dest = Path(dest)
@@ -318,6 +539,7 @@ def extract_dir(blob: bytes, dest: Path | str) -> None:
         (dest / entry.path).chmod(stat.S_IMODE(entry.mode))
 
 
-def content_bytes(blob: bytes) -> int:
-    """Total file content in a blob, excluding all framing; nothing is copied."""
-    return sum(len(content) for _, _, content in _walk(blob) if content is not None)
+def content_bytes(blob: Chunk | Iterable[Chunk]) -> int:
+    """Total file content in a blob, whole or as consecutive chunks,
+    excluding all framing; every entry is verified, no content is held."""
+    return sum(size for _, _, size in _entries(_stream(blob)))

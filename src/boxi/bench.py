@@ -160,7 +160,8 @@ def bench_space(spec: WorkflowSpec) -> SpaceOverheadReport:
 
     Original bytes count the file contents for archive partitions and
     the raw payload for anything else, so the delta is exactly the format
-    framing: header, descriptors, and archive entry headers.
+    framing: header, descriptors, and archive entry headers. Every payload
+    is streamed through its checksum, so none is held whole.
     """
     rows = []
     for component in spec.components:
@@ -170,11 +171,11 @@ def bench_space(spec: WorkflowSpec) -> SpaceOverheadReport:
         original = 0
         with BoxImage.open(path) as image:
             for part in image.partitions:
-                payload = image.dump_partition(part.partition_id)
+                chunks = image.stream_partition(part.partition_id)
                 if part.datatype == DATA_PARTITION:
-                    original += content_bytes(payload)
+                    original += content_bytes(chunks)
                 else:
-                    original += len(payload)
+                    original += sum(len(chunk) for chunk in chunks)
         containerized = path.stat().st_size
         rows.append(SpaceRow(
             label=component.id,

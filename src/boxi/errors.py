@@ -67,6 +67,11 @@ class UnsupportedEntry(BoxiError):
     or a name that is not UTF-8."""
 
 
+class FileChanged(BoxiError):
+    """A scanned file changed before it was read into an archive: it is gone,
+    replaced, by a symlink or another file, or not of its scanned size."""
+
+
 # --- packaging ---------------------------------------------------------------
 
 class RecipeParseError(BoxiError):

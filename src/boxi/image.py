@@ -32,22 +32,28 @@ Descriptor, 160 bytes each, one per partition:
 Opening an image reads only the header and the descriptor table, which it
 finds at the table offset; the extents are checked against the file size.
 A FIFO is rejected before anything is read from it.
-A payload is read, and its checksum verified, only when it is dumped or
-carried forward by a change.
+A payload is read, and its checksum verified, only when it is dumped whole,
+streamed, or carried forward by a change. One reader does the last two: it
+reads a payload in chunks of at most CHUNK_BYTES into one reused buffer,
+hashes each, and raises CorruptPartition after the last chunk if the
+digest differs, so no streamed payload is held whole and only one read to
+its end has been checked. raw_payload hands out a payload's unverified
+bytes for a header-only pass that its stream verifies afterwards.
 
 An image file is written whole or not at all, by one writer. It takes
 one source per partition: new bytes, consecutive byte pieces (such as an
-archive encoded on the fly), or a payload kept from the image's current
-file, which is copied in chunks of at most CHUNK_BYTES and checked against
-its checksum on the way, so no kept payload is held whole. Each payload is
-hashed as it is written; the descriptor table follows the payloads, and the
-header, which points at the table, is written last. Creating an image
-writes the new file this way; a path that is not a regular file, such as a
-FIFO, is refused first. Every later change (add, delete, update, storing
-metadata) writes the whole image to a temp file beside it, fsyncs that file
-and renames it over the old one, so a crash leaves either the old image or
-the new one. The rewritten file keeps the permission bits of the one it
-replaces. A payload that a change replaces or drops is never read.
+archive encoded on the fly, which may itself read another payload's
+stream), or a payload kept from the image's current file, which is copied
+through the chunk reader. Each new payload is hashed as it is written; the
+descriptor table follows the payloads, and the header, which points at the
+table, is written last. Creating an image writes the new file this way; a
+path that is not a regular file, such as a FIFO, is refused first, and a
+failed write removes the file. Every later change (add, delete, update,
+storing metadata) writes the whole image to a temp file beside it, fsyncs
+that file and renames it over the old one, so a crash, or an error raised
+by a source partway through, leaves either the old image or the new one.
+The rewritten file keeps the permission bits of the one it replaces. A
+payload that a change replaces or drops is never read.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ import struct
 import tempfile
 import time
 import uuid as uuidlib
-from contextlib import ExitStack
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -132,7 +138,8 @@ NAME_FIELD_BYTES = 64
 
 METADATA_PARTITION_NAME = "metadata"
 
-# A kept payload is copied forward in reads of at most this many bytes.
+# A payload is streamed, and a kept one copied forward, in reads of at most
+# this many bytes.
 CHUNK_BYTES = 1 << 20
 
 # What a changed partition's payload comes from: bytes, consecutive byte
@@ -266,8 +273,10 @@ class BoxImage:
 
         Ids are assigned from 1 in the order given, and the whole file is
         written in one pass. A path that is not a regular file, such as a
-        FIFO, is refused before anything is written. When path is omitted
-        the file is written as <name>.boxi in the current directory.
+        FIFO, is refused before anything is written; a write that fails,
+        including a payload source that raises, removes the file. When path
+        is omitted the file is written as <name>.boxi in the current
+        directory.
         """
         _checked_name(name, "image")
         if "/" in name:
@@ -282,9 +291,14 @@ class BoxImage:
             with open(target, "wb", opener=_open_nonblocking) as fh:
                 if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                     raise IoError(f"cannot create image at {target}: not a regular file")
-                image._partitions = image._write(fh, now, descriptors, {
-                    part.partition_id: new.payload
-                    for part, new in zip(descriptors, partitions)})
+                try:
+                    image._partitions = image._write(fh, now, descriptors, {
+                        part.partition_id: new.payload
+                        for part, new in zip(descriptors, partitions)})
+                    fh.flush()
+                except BaseException:
+                    os.unlink(target)
+                    raise
         except OSError as exc:
             raise IoError(f"cannot create image at {target}: {exc}") from exc
         return image
@@ -388,7 +402,7 @@ class BoxImage:
         return part.partition_id
 
     def dump_partition(self, partition_id: int) -> bytes:
-        """Read a payload back from disk and verify its checksum."""
+        """Read a payload back from disk whole and verify its checksum."""
         self._ensure_open()
         part = self.descriptor(partition_id)
         try:
@@ -403,6 +417,32 @@ class BoxImage:
             raise CorruptPartition(
                 f"{self.name}: partition {partition_id} fails its checksum")
         return payload
+
+    def stream_partition(self, partition_id: int) -> Iterator[memoryview]:
+        """Read a payload back from disk in chunks of at most CHUNK_BYTES.
+
+        Each chunk is a view into one reused buffer, valid only until the
+        next is read. The file is opened at the first read. After the last
+        chunk the checksum is verified, and a mismatch raises
+        CorruptPartition, so the payload is checked only once the stream
+        has been read to its end.
+        """
+        self._ensure_open()
+        return self._stream(self.descriptor(partition_id))
+
+    @contextmanager
+    def raw_payload(self, partition_id: int) -> Iterator[tuple[BinaryIO, int]]:
+        """The image file, unbuffered, at the first byte of a payload, and
+        the payload's size. Nothing read through it is verified; the
+        payload's stream_partition is."""
+        self._ensure_open()
+        part = self.descriptor(partition_id)
+        try:
+            with open(self.path, "rb", buffering=0) as fh:
+                fh.seek(part.payload_offset)
+                yield fh, part.payload_size
+        except OSError as exc:
+            raise IoError(f"cannot read {self.path}: {exc}") from exc
 
     def delete_partition(self, partition_id: int) -> None:
         """Drop a partition.
@@ -480,36 +520,31 @@ class BoxImage:
         """Write a whole image to fh; return its partitions as placed.
 
         A partition whose id is in changed gets that payload, as bytes or as
-        consecutive byte pieces. Any other keeps its payload from this
-        image's current file, read in chunks of at most CHUNK_BYTES and
-        verified as it is copied. Payloads go back to back after the header
-        and are hashed as they are written; the descriptor table follows,
-        and the header is written last.
+        consecutive byte pieces, hashed as it is written. Any other keeps
+        its payload from this image's current file, copied through the
+        chunk reader, _stream, which verifies it. Payloads go back to back after the
+        header; the descriptor table follows, and the header is written last.
         """
         fh.seek(HEADER_SIZE)
         placed: list[PartitionDescriptor] = []
         offset = HEADER_SIZE
-        with ExitStack() as stack:
-            current: BinaryIO | None = None
-            for part in partitions:
-                if part.partition_id in changed:
-                    source = changed[part.partition_id]
-                    pieces = [source] if isinstance(source, (bytes, bytearray)) else source
-                else:
-                    if current is None:
-                        current = stack.enter_context(open(self.path, "rb"))
-                    pieces = self._chunks(current, part)
-                digest, size = hashlib.sha256(), 0
-                for piece in pieces:
-                    fh.write(piece)
+        for part in partitions:
+            if part.partition_id in changed:
+                source = changed[part.partition_id]
+                pieces = [source] if isinstance(source, (bytes, bytearray)) else source
+                digest = hashlib.sha256()
+            else:
+                pieces, digest = self._stream(part), None  # verified as it is read
+            size = 0
+            for piece in pieces:
+                fh.write(piece)
+                size += len(piece)
+                if digest is not None:
                     digest.update(piece)
-                    size += len(piece)
-                if part.partition_id not in changed and digest.digest() != part.checksum:
-                    raise CorruptPartition(
-                        f"{self.name}: partition {part.partition_id} fails its checksum")
-                placed.append(replace(part, payload_offset=offset, payload_size=size,
-                                      checksum=digest.digest()))
-                offset += size
+            checksum = part.checksum if digest is None else digest.digest()
+            placed.append(replace(part, payload_offset=offset, payload_size=size,
+                                  checksum=checksum))
+            offset += size
         fh.write(b"".join(part.pack() for part in placed))
         fh.seek(0)
         fh.write(_HEADER.pack(
@@ -517,16 +552,29 @@ class BoxImage:
             len(placed), offset, HEADER_SIZE))
         return placed
 
-    def _chunks(self, fh: BinaryIO, part: PartitionDescriptor) -> Iterator[bytes]:
-        """A partition's payload in this image's file, in reads of at most CHUNK_BYTES."""
-        fh.seek(part.payload_offset)
+    def _stream(self, part: PartitionDescriptor) -> Iterator[memoryview]:
+        """The one chunk reader: a payload in this image's file, in reads of
+        at most CHUNK_BYTES into one reused buffer, each chunk hashed; after
+        the last, a digest that differs raises CorruptPartition."""
+        buffer = memoryview(bytearray(min(part.payload_size, CHUNK_BYTES)))
+        digest = hashlib.sha256()
         left = part.payload_size
-        while left:
-            chunk = fh.read(min(left, CHUNK_BYTES))
-            if not chunk:
-                raise TruncatedImage(f"{self.name}: partition {part.partition_id} cut short")
-            left -= len(chunk)
-            yield chunk
+        try:
+            with open(self.path, "rb", buffering=0) as fh:
+                fh.seek(part.payload_offset)
+                while left:
+                    got = fh.readinto(buffer[:left])
+                    if not got:
+                        raise TruncatedImage(
+                            f"{self.name}: partition {part.partition_id} cut short")
+                    digest.update(buffer[:got])
+                    left -= got
+                    yield buffer[:got]
+        except OSError as exc:
+            raise IoError(f"cannot read {self.path}: {exc}") from exc
+        if digest.digest() != part.checksum:
+            raise CorruptPartition(
+                f"{self.name}: partition {part.partition_id} fails its checksum")
 
     def _commit(self, partitions: list[PartitionDescriptor],
                 changed: Mapping[int, Source]) -> None:
@@ -536,7 +584,9 @@ class BoxImage:
         is called with the commit's modified-at time, before anything is
         written. Every other payload is streamed from the old file and
         verified as it is copied, so a corrupt partition is never carried
-        forward and no kept payload is held whole. The image is written to
+        forward and no kept payload is held whole. A source that raises
+        partway, such as a stream that fails its checksum after its last
+        chunk, fails the commit. The image is written to
         a temp file beside it, fsynced, and renamed over it with the old
         file's permission bits; a failure removes the temp file. A
         symlinked path is followed, so the link stays a link. The handle

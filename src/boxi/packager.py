@@ -1,8 +1,10 @@
 """Turn workflow components into images.
 
 Three encapsulation paths: pack an existing data directory, pack a fresh
-empty output directory, and build an application image from a recipe. An
-application image carries the runscript and its support files plus its
+empty output directory, and build an application image from a recipe. A
+packed directory is streamed into its image: the scan reads no file, and
+each file is read as it is encoded, so no tree is held. An application
+image carries the runscript and its support files plus its
 SoftwareManifest, as canonical JSON, at the reserved path ".manifest".
 
 Recipe grammar (UTF-8, line oriented):
@@ -237,7 +239,9 @@ def pack_data_dir(dir_path: Path | str, image_name: str,
     """Encapsulate an existing directory as a single-data-partition image.
 
     The partition is named after the directory and holds the directory's
-    contents (the directory itself is the tree root).
+    contents (the directory itself is the tree root). Each file is read as
+    it is written into the image; one that changed since the scan raises
+    FileChanged, and no image file is left.
     """
     dir_path = Path(dir_path)
     if not dir_path.is_dir():

@@ -11,8 +11,8 @@ emit around it:
   zero-copy   materialize each readable partition once into a shared
               directory and link every view to it; repack each spot.
               A materialize that no link reads is spliced, not unpacked:
-              its repack grafts the source's verified entries straight
-              into the destination's commit.
+              its repack reads the source's headers ahead and streams its
+              verified entries straight into the destination's commit.
 
   two-copy    stage the readable partition and copy-in its bound subtree;
               copy-out each spot to staging after the exec, then repack.
@@ -32,8 +32,12 @@ system temp directory when it is unset, and is always removed at the end.
 
 Repacks run after every exec, so the report is complete before any output
 is committed, but for trails_attached. Each output is then one graft and
-one commit: its new data partition is encoded straight into the image
-file. A run with trails has provenance.attach_metadata store the output's
+one commit, and no payload or tree is held whole: the output's old payload
+is streamed through its checksum, keeping only the entries outside the
+bound subtree, and its new data partition is encoded straight into the
+image file, each scanned file read as it is encoded. A file that changed
+since its scan fails the commit with FileChanged, and the image keeps its
+bytes. A run with trails has provenance.attach_metadata store the output's
 record trail, assembled from the report and the plan's images, in that
 commit; the id of its metadata partition, checked before any application
 runs, goes to trails_attached.
@@ -295,8 +299,9 @@ class Step:
 
       view         unpack partition_id, the primary one, of image into dst
       materialize  unpack partition_id of image into the shared directory dst;
-                   if no link or copy-in reads dst, its repack splices the
-                   partition's entries instead and nothing is unpacked
+                   if no link or copy-in reads dst, nothing is unpacked: its
+                   repack reads the partition's headers, then streams its
+                   verified entries into the commit
       stage        unpack partition_id of image into the staging directory dst
       spot         create the empty writable directory dst
       link         point the symlink dst at the directory inner under src
@@ -510,9 +515,9 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
 
     The steps read and write only the plan's images, which are closed at
     the end. A materialize step whose directory no link or copy-in reads is
-    not unpacked; the repack that reads it takes the partition's entries
-    from its payload, dumped after the output's old payload is dropped.
-    Repack steps run last, each output's through one graft and
+    not unpacked; the repack that reads it splices the partition: a header
+    pass, then its verified stream inside the commit. Repack steps run
+    last, each output's through one graft of its old payload's stream and
     one commit, which also stores the output's trail for spec when one is
     given; each output's trail partition id is checked before anything
     runs. The link and copy-in mounts of a view are snapshot before and
@@ -525,7 +530,7 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
         for step in repacks:
             plan.images[step.image].metadata_partition_id()
     mounted = {step.src for step in plan.steps if step.op in (LINK, COPY_IN)}
-    spliced = {step.dst: (step.image, step.partition_id) for step in plan.steps
+    spliced = {step.dst: (plan.images[step.image], step.partition_id) for step in plan.steps
                if step.op == MATERIALIZE and step.dst not in mounted}
     run_dir = _make_run_dir()
     records: list[InvocationRecord] = []
@@ -580,11 +585,12 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
         )
         for step in repacks:
             image = plan.images[step.image]
-            # the old payload is dropped before the new tree is read
-            kept = archive.graft(image.dump_partition(step.partition_id), step.inner, [])
+            # the old payload is verified and dropped chunk by chunk
+            kept = archive.graft(image.stream_partition(step.partition_id), step.inner, [])
             if step.src in spliced:
-                src_image, src_pid = spliced[step.src]
-                tree = archive.entry_views(plan.images[src_image].dump_partition(src_pid))
+                source, pid = spliced[step.src]
+                with source.raw_payload(pid) as (fh, size):
+                    tree = archive.splice(fh, size, source.stream_partition(pid))
             else:
                 tree = archive.scan_dir(run_dir / step.src)
             pieces = archive.encode_pieces(archive.graft(kept, step.inner, tree))
@@ -646,11 +652,15 @@ def zero_copy_transfer(src_image: Path | str, src_partition: int,
                        dst_image: Path | str, dst_inner_path: str) -> ExecutionReport:
     """Move a data partition's tree under dst_inner_path of the destination.
 
-    The materialize and the repack are spliced: the source partition's
-    verified entries are grafted, as views into its payload, straight into
-    the destination's commit, so no tree is extracted or rescanned. The
-    source is read only after the destination's old payload has been
-    dropped. Two copy events, no staging, an empty run directory.
+    The materialize and the repack are spliced, so no tree is extracted
+    or rescanned and no payload is held whole. The destination's old
+    payload is streamed through its checksum first, keeping only what lies
+    outside dst_inner_path. A header pass over the source then learns the
+    grafted tree, and the source's verified stream is read into the
+    destination's commit, every header checked against that pass. A
+    checksum or structure error found partway fails the commit, and the
+    destination keeps its bytes. Two copy events, no staging, an empty run
+    directory.
     """
     return _run_plan(_plan_transfer(ZERO_COPY, src_image, src_partition,
                                     dst_image, dst_inner_path))

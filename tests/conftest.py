@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,31 @@ from boxi import standins
 from boxi.image import BoxImage
 from boxi.packager import Recipe, build_app_image, pack_data_dir, pack_empty_output
 from boxi.runtime import WorkflowSpec, workflow_from_mapping
+
+
+def _grow(path: Path) -> None:
+    with open(path, "ab") as fh:
+        fh.write(b"!")
+
+
+def _replace(path: Path) -> None:
+    swap = path.with_name(path.name + ".swap")
+    swap.write_bytes(path.read_bytes())
+    os.replace(swap, path)  # same size, another inode
+
+
+def _symlink(path: Path) -> None:
+    path.unlink()
+    path.symlink_to(os.devnull)
+
+
+# Ways a scanned file can change before it is read into an archive.
+FILE_CHANGES = {
+    "vanishes": Path.unlink,
+    "grows": _grow,
+    "is-replaced": _replace,
+    "turns-into-a-symlink": _symlink,
+}
 
 
 def open_images(spec: WorkflowSpec) -> dict[str, BoxImage]:

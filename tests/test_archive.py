@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 import stat
 import struct
@@ -23,6 +24,7 @@ from boxi.archive import (
     extract_dir,
     graft,
     scan_dir,
+    splice,
     with_parents,
 )
 from boxi.errors import MalformedArchive, UnsupportedEntry
@@ -44,6 +46,16 @@ def blob_for(*items: tuple[str, int, bytes]) -> bytes:
         out.append(struct.pack("<IQ", mode, len(content)))
         out.append(content)
     return b"".join(out)
+
+
+def chunked(blob: bytes, size: int):
+    """blob in chunks of size bytes, each a view into one reused buffer,
+    valid only until the next, as a partition's stream yields them."""
+    buffer = bytearray(size)
+    for start in range(0, len(blob), size):
+        piece = blob[start:start + size]
+        buffer[:len(piece)] = piece
+        yield memoryview(buffer)[:len(piece)]
 
 
 def test_single_file_encodes_to_known_bytes():
@@ -413,8 +425,8 @@ def test_disk_round_trip_preserves_any_tree(tree, tmp_path):
     extract_dir(encode_entries(scan_dir(base / "first")), base / "second")
     assert_same_tree(base / "first", base / "second")
     by_path = {e.path: e for e in scan_dir(base / "second")}
-    for path, content in tree.items():
-        assert by_path[path].content == content
+    for path, content in tree.items():  # scan_dir reads a file only as it is encoded
+        assert b"".join(by_path[path].content.pieces()) == content
 
 
 # An inner path is the root, a directory-like path, or a file path, so that
@@ -449,3 +461,80 @@ def test_graft_keeps_the_outside_and_re_roots_the_subtree(tree, inner, subtree):
     for entry in grafted:
         parent = entry.path.rpartition("/")[0]
         assert not parent or by_path[parent].is_dir
+
+
+# Every malformed blob above, by the test that builds it.
+_MALFORMED = {
+    "bad-magic": b"XXXX" + struct.pack("<I", 0),
+    "short-blob": b"BDA",
+    **{f"truncated-at-{cut}": blob_for(("a.txt", FILE, b"hi"))[:cut] for cut in (9, 11, 14, 19)},
+    "out-of-order": blob_for(("b", FILE, b""), ("a", FILE, b"")),
+    "duplicate": blob_for(("a", FILE, b""), ("a", FILE, b"")),
+    "directory-with-size": blob_for(("d", DIR, b"x")),
+    "unsupported-mode": blob_for(("s", stat.S_IFLNK | 0o777, b"")),
+    "trailing-bytes": blob_for(("a", FILE, b"x")) + b"junk",
+    "non-utf8-path": (MAGIC + struct.pack("<I", 1) + struct.pack("<H", 2) + b"\xff\xfe"
+                      + struct.pack("<IQ", FILE, 0)),
+    "nul-in-path": blob_for(("a\x00b.txt", FILE, b"x")),
+    **{f"last-{fault}": blob for fault, blob in _BAD_LAST.items()},
+    **{f"below-a-file-{case}": blob_for(*items) for case, items in _BELOW_A_FILE.items()},
+}
+
+
+def _error(call, *args) -> str:
+    with pytest.raises(MalformedArchive) as caught:
+        call(*args)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_a_malformed_blob_fails_alike_whole_and_in_chunks(case):
+    blob = _MALFORMED[case]
+    whole = _error(decode, blob)
+    for size in (1, 5, 4096):
+        assert _error(decode, chunked(blob, size)) == whole
+        assert _error(content_bytes, chunked(blob, size)) == whole
+        assert _error(graft, chunked(blob, size), "a", []) == whole
+    assert _error(splice, io.BytesIO(blob), len(blob), chunked(blob, 5)) == whole
+
+
+@given(tree=_trees, inner=_inner_paths, subtree=_trees, size=st.sampled_from([1, 5, 4096]))
+def test_the_walk_agrees_whole_and_in_chunks(tree, inner, subtree, size):
+    blob = encode_entries(_tree_entries(tree))
+    sub = _tree_entries(subtree)
+    assert decode(chunked(blob, size)) == decode(blob)
+    assert content_bytes(chunked(blob, size)) == content_bytes(blob)
+    assert graft(chunked(blob, size), inner, sub) == graft(blob, inner, sub)
+
+
+@given(tree=_trees, inner=_inner_paths, size=st.sampled_from([1, 5, 4096]))
+def test_a_splice_encodes_as_the_decoded_tree(tree, inner, size):
+    blob = encode_entries(_tree_entries(tree, dir_mode=0o40750))
+    spliced = splice(io.BytesIO(blob), len(blob), chunked(blob, size))
+    assert [(e.path, e.mode, len(e.content or b"")) for e in spliced] == [
+        (e.path, e.mode, len(e.content or b"")) for e in decode(blob)]
+    assert (encode_entries(graft([], inner, spliced))
+            == encode_entries(graft([], inner, decode(blob))))
+
+
+def test_a_splice_fails_when_its_stream_differs_from_its_headers():
+    read_ahead = blob_for(("a.txt", FILE, b"one"), ("b", DIR, b""))
+    for streamed in (blob_for(("a.txt", FILE, b"two"), ("c", DIR, b"")),   # another header
+                     blob_for(("a.txt", FILE, b"one"))):                   # one header fewer
+        spliced = splice(io.BytesIO(read_ahead), len(read_ahead), chunked(streamed, 5))
+        with pytest.raises(MalformedArchive, match="changed after its headers were read"):
+            encode_entries(spliced)
+
+
+def test_a_splice_reads_its_stream_only_as_it_is_encoded():
+    blob = blob_for(("a.txt", FILE, b"one"), ("z", DIR, b""))
+    reads = []
+
+    def stream():
+        for chunk in chunked(blob, 4):
+            reads.append(len(chunk))
+            yield chunk
+    spliced = splice(io.BytesIO(blob), len(blob), stream())
+    assert reads == []
+    assert encode_entries(spliced) == blob
+    assert sum(reads) == len(blob)  # read to its end, past the last file

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -69,16 +70,23 @@ def test_space_report_delta_is_exactly_the_framing(workbench):
 
 
 def test_space_report_covers_every_partition(workbench):
-    from boxi.image import BoxImage
-    spec = workbench.identity_spec(files={"a.txt": b"abc"})
+    from boxi.image import CHUNK_BYTES, BoxImage
+    big = 4 * CHUNK_BYTES
+    spec = workbench.identity_spec(files={"a.txt": b"abc", "big.bin": b"b" * big})
     with BoxImage.open(workbench.root / "input.boxi") as image:
-        image.add_partition(b"0123456789", datatype=3, fstype=1, parttype=4,
+        image.add_partition(b"0123456789" * (big // 10), datatype=3, fstype=1, parttype=4,
                             arch=0, name="notes")
-    report = bench_space(spec)
+    tracemalloc.start()
+    try:
+        report = bench_space(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     row = next(r for r in report.rows if r.label == "in")
     # raw partitions count verbatim, archive partitions by content
-    assert row.original_bytes == 3 + 10
-    assert row.delta_bytes == expected_image_delta([["a.txt"], None])
+    assert row.original_bytes == 3 + big + 10 * (big // 10)
+    assert row.delta_bytes == expected_image_delta([["a.txt", "big.bin"], None])
+    assert peak < 2 * CHUNK_BYTES  # every payload is streamed, none held whole
 
 
 def test_space_report_requires_existing_images(workbench):

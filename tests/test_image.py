@@ -475,6 +475,11 @@ class _ReadCounter(_WrappedFile):
         self._counts.append(len(data))
         return data
 
+    def readinto(self, buffer):
+        got = self._fh.readinto(buffer)
+        self._counts.append(got)
+        return got
+
 
 KEPT_BYTES = 4 * image_mod.CHUNK_BYTES + 1
 META_CODES = dict(datatype=DATA_JSON, fstype=FS_ARCHIVE_RO,

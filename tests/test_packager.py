@@ -10,9 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from boxi import packager
 from boxi.archive import decode, encode_entries, extract_dir, scan_dir
 from boxi.document import canonical_json, plain
 from boxi.errors import (
+    FileChanged,
     InvalidName,
     IoError,
     MissingFile,
@@ -21,6 +23,7 @@ from boxi.errors import (
 )
 from boxi.image import (
     ARCH_X86_64,
+    CHUNK_BYTES,
     DATA_PARTITION,
     FS_ARCHIVE_RO,
     FS_ARCHIVE_RW,
@@ -38,6 +41,7 @@ from boxi.packager import (
     utf8_text,
 )
 
+from .conftest import FILE_CHANGES
 from .oracles import assert_same_tree, read_descriptors
 
 FULL_RECIPE = """\
@@ -238,6 +242,43 @@ def test_pack_data_dir_streams_the_tree_into_the_image(tmp_path):
     (record,) = read_descriptors(tmp_path / "input.boxi")
     assert record["payload"] == encode_entries(scan_dir(src))
     assert peak < 1.5 * 8 * (512 << 10)  # the scanned contents, never the joined blob too
+
+
+def test_pack_data_dir_holds_no_tree(tmp_path):
+    src = tmp_path / "Inputs"
+    src.mkdir()
+    files = {f"part{index}.bin": bytes([index]) * (1 << 20) for index in range(8)}
+    for name, content in files.items():
+        (src / name).write_bytes(content)
+    tracemalloc.start()
+    try:
+        pack_data_dir(src, "input", tmp_path / "input.boxi").close()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (record,) = read_descriptors(tmp_path / "input.boxi")
+    assert {entry.path: entry.content for entry in decode(record["payload"])} == files
+    assert peak < 3 * CHUNK_BYTES  # each file is read as it is encoded
+
+
+@pytest.mark.parametrize("change", sorted(FILE_CHANGES))
+def test_a_file_changed_after_its_scan_fails_the_pack(tmp_path, monkeypatch, change):
+    src = tmp_path / "Inputs"
+    src.mkdir()
+    (src / "a.bin").write_bytes(b"a" * 100_000)  # written to the image before b.bin is read
+    (src / "b.bin").write_bytes(b"b" * 100)
+    real_scan = packager.scan_dir
+
+    def scan_then_change(root):
+        entries = real_scan(root)
+        FILE_CHANGES[change](src / "b.bin")
+        return entries
+
+    monkeypatch.setattr(packager, "scan_dir", scan_then_change)
+    with pytest.raises(FileChanged, match="b.bin") as caught:
+        pack_data_dir(src, "input", tmp_path / "input.boxi")
+    assert caught.value.exit_code == 2
+    assert not (tmp_path / "input.boxi").exists()
 
 
 def test_pack_data_dir_rejects_non_directory(tmp_path):

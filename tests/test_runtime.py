@@ -16,12 +16,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from boxi import archive, scenarios, standins
+from boxi import image as image_mod
 from boxi.archive import ArchiveEntry, decode, encode_entries, extract_dir
 from boxi.cli import main
 from boxi.errors import (
     ConflictingWrites,
     CorruptPartition,
     CyclicBinding,
+    FileChanged,
     InvalidName,
     InvalidWorkflowSpec,
     IoError,
@@ -45,7 +47,8 @@ from boxi.runtime import (
     zero_copy_transfer,
 )
 
-from .oracles import walk_tree
+from .conftest import FILE_CHANGES, Workbench
+from .oracles import flip_bit, walk_tree
 
 
 def output_tree(image_path, dest):
@@ -1028,6 +1031,81 @@ def test_a_repeated_transfer_holds_one_payload_at_a_time(workbench):
         tree = {entry.path: entry.content for entry in decode(image.dump_partition(1))}
     assert {path: tree[f"Inputs/{path}"] for path in files} == files
     assert peak < 1.5 * 8 * (512 << 10)  # the source is dumped once the old payload is gone
+
+
+def test_a_rerun_transfer_holds_no_payload(workbench):
+    files = {f"part{index}.bin": bytes([index]) * (1 << 20) for index in range(8)}
+    src = workbench.input_image(files, name="src", dir_name="payload")
+    dst = workbench.output_image(name="dst", dir_name="Inputs")
+    zero_copy_transfer(src, 1, dst, "/Inputs")  # the destination now holds the payload
+    tracemalloc.start()
+    try:
+        zero_copy_transfer(src, 1, dst, "/Inputs")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with BoxImage.open(dst) as image:
+        tree = {entry.path: entry.content for entry in decode(image.dump_partition(1))}
+    assert {path: tree[f"Inputs/{path}"] for path in files} == files
+    assert peak < 3 * image_mod.CHUNK_BYTES  # both payloads are streamed
+
+
+@pytest.mark.parametrize("where", ["source-last-chunk", "destination-old-payload"])
+def test_corruption_found_mid_stream_fails_the_transfer(workbench, monkeypatch, where):
+    monkeypatch.setattr(image_mod, "CHUNK_BYTES", 64)
+    files = {f"f{index}.bin": bytes([index]) * 300 for index in range(4)}
+    src = workbench.input_image(files, name="src", dir_name="payload")
+    dst = workbench.output_image(name="dst", dir_name="Inputs")
+    zero_copy_transfer(src, 1, dst, "/Inputs")  # the destination's old payload holds the files
+    corrupt = src if where == "source-last-chunk" else dst
+    with BoxImage.open(corrupt) as image:
+        part = image.descriptor(1)
+    flip_bit(corrupt, part.payload_offset + part.payload_size - 1, 0)  # the last file's content
+    before = dst.read_bytes()
+    with pytest.raises(CorruptPartition) as caught:
+        zero_copy_transfer(src, 1, dst, "/Inputs")
+    assert caught.value.exit_code == 4
+    assert dst.read_bytes() == before
+    assert list(dst.parent.glob(".dst.boxi.*")) == []
+
+
+@pytest.mark.parametrize("chunk", [5, 4096])
+def test_small_chunks_leave_the_same_bytes(tmp_path, monkeypatch, chunk):
+    # Headers and contents straddle chunks of the streamed payloads.
+    def payloads():
+        bench = Workbench(tmp_path / uuid.uuid4().hex)
+        found = {case: _transfer_payloads(bench, entries, "Copy", own)
+                 for case, (entries, own) in _EDGE_TREES.items()}
+        spec = bench.identity_spec({"a.txt": b"alpha" * 50, "d/b.txt": b"beta" * 30})
+        run_workflow(spec, ZERO_COPY, trail=True)
+        run_workflow(spec, TWO_COPY, trail=True)  # a rerun streams the old payload
+        with BoxImage.open(bench.root / "output.boxi") as image:
+            found["identity-rerun"] = image.dump_partition(1)
+        return found
+
+    normal = payloads()
+    monkeypatch.setattr(image_mod, "CHUNK_BYTES", chunk)
+    assert payloads() == normal
+
+
+@pytest.mark.parametrize("change", sorted(FILE_CHANGES))
+def test_a_file_changed_after_its_scan_fails_the_repack(workbench, monkeypatch, change):
+    spec = workbench.identity_spec({"a.txt": b"alpha", "b.txt": b"beta"})
+    output = workbench.root / "output.boxi"
+    before = output.read_bytes()
+    real_scan = archive.scan_dir
+
+    def scan_then_change(root):
+        entries = real_scan(root)
+        FILE_CHANGES[change](Path(root) / "data" / "b.txt")
+        return entries
+
+    monkeypatch.setattr(archive, "scan_dir", scan_then_change)
+    with pytest.raises(FileChanged, match="b.txt") as caught:
+        run_workflow(spec, ZERO_COPY, trail=True)
+    assert caught.value.exit_code == 2
+    assert output.read_bytes() == before
+    assert list(workbench.root.glob(".output.boxi.*")) == []
 
 
 def test_transfer_into_nested_destination(workbench, tmp_path):
