@@ -31,12 +31,14 @@ file by its lstat and reads it then; splice streams a source blob's
 contents from its verified chunks.
 
 One validating walk checks every rule above, entry by entry, over three
-byte sources: a whole blob, whose contents stay views into it (decode,
-extract_dir); consecutive chunks, each valid only until the next is read,
-such as a partition read through its checksum (decode, graft,
-content_bytes, and splice's contents); and a header-only pass over a file,
-which seeks past contents (splice). Over chunks, a broken rule is raised
-only after they are read to their end, so a checksum failure comes first.
+byte sources: a whole blob, whose contents stay views into it;
+consecutive chunks, each valid only until the next is read, such as a
+partition read through its checksum; and a header-only pass over a file,
+which seeks past contents (splice). decode, graft, content_bytes and
+extract_dir take a blob whole or as chunks, and splice's contents are
+chunks. Over chunks, a broken rule is raised only after they are read to
+their end, so a checksum failure comes first. extract_dir writes each file
+as the walk reaches it, and removes what it wrote if the walk then fails.
 
 graft is the one tree edit: a repack grafts a new tree under one inner
 path and keeps the rest. with_parents is the one rule for implied directories.
@@ -44,6 +46,7 @@ path and keeps the rest. with_parents is the one rule for implied directories.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import io
 import os
@@ -511,32 +514,65 @@ def graft(base: list[ArchiveEntry] | Chunk | Iterable[Chunk], inner: str,
     return with_parents(entries, [inner])
 
 
-def extract_dir(blob: bytes, dest: Path | str) -> None:
-    """Materialize a whole blob under dest, creating dest if needed.
+def _undo(made: list[str]) -> None:
+    """Remove what an extract made, the last first, as far as it can."""
+    for path in reversed(made):
+        with contextlib.suppress(OSError):
+            (os.rmdir if os.path.isdir(path) else os.unlink)(path)
 
-    The whole blob is checked before anything is written, and each file is
-    written straight from the blob, without a copy. Parent directories
-    implied by a path are created even if the archive carries no entry for
-    them, with with_parents' mode 0o755 whatever the umask. Directory modes
-    are applied last, children before parents, so a read-only directory can
-    still receive its children.
+
+def _extract(src: _Stream, root: str, made: list[str]) -> None:
+    modes: dict[str, int] = {}  # each directory of the tree, parents first
+    for path, mode, size in _entries(src):
+        implied = []
+        parent = path.rpartition("/")[0]
+        while parent and parent not in modes:
+            implied.append(parent)
+            parent = parent.rpartition("/")[0]
+        for missing in reversed(implied):
+            os.mkdir(os.path.join(root, missing))
+            made.append(os.path.join(root, missing))
+            modes[missing] = 0o755
+        target = os.path.join(root, path)
+        if stat.S_ISDIR(mode):
+            os.mkdir(target)
+            made.append(target)
+            modes[path] = stat.S_IMODE(mode)
+            continue
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+        made.append(target)
+        try:
+            for piece in src.pieces(size):
+                while piece:
+                    piece = piece[os.write(fd, piece):]
+            os.fchmod(fd, stat.S_IMODE(mode))
+        finally:
+            os.close(fd)
+    for path, mode in reversed(modes.items()):
+        os.chmod(os.path.join(root, path), mode)
+
+
+def extract_dir(blob: Chunk | Iterable[Chunk], dest: Path | str) -> None:
+    """Materialize a blob, whole or as consecutive chunks, under dest,
+    creating dest if needed; nothing the blob holds may exist there yet.
+
+    Each file is written as the validating walk reaches it, straight from
+    the blob or its chunks, so no payload is held. If the walk fails, at an
+    entry or at its end (trailing bytes, or the chunks' own checksum), what
+    this call made, dest included, is removed before the error is raised.
+    Parent directories implied by a path are created even if the archive
+    carries no entry for them, with with_parents' mode 0o755 whatever the
+    umask. Directory modes are applied once the walk is done, children
+    before parents, so a read-only directory can still receive its children.
     """
-    src = _Stream([blob])
-    tree = with_parents([ArchiveEntry(path, mode, None if stat.S_ISDIR(mode) else src.read(size))
-                         for path, mode, size in _entries(src)])
-    directories = sorted((entry for entry in tree if entry.is_dir),
-                         key=lambda entry: entry.path)
     dest = Path(dest)
+    made = [str(path) for path in (*reversed(dest.parents), dest) if not path.exists()]
     dest.mkdir(parents=True, exist_ok=True)
-    for entry in directories:  # a parent's path sorts before its children's
-        (dest / entry.path).mkdir(exist_ok=True)
-    for entry in tree:
-        if not entry.is_dir:
-            target = dest / entry.path
-            target.write_bytes(entry.content)
-            target.chmod(stat.S_IMODE(entry.mode))
-    for entry in reversed(directories):
-        (dest / entry.path).chmod(stat.S_IMODE(entry.mode))
+    try:
+        _extract(_stream(blob), str(dest), made)
+    except BaseException:
+        _undo(made)
+        raise
 
 
 def content_bytes(blob: Chunk | Iterable[Chunk]) -> int:

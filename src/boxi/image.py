@@ -33,12 +33,13 @@ Opening an image reads only the header and the descriptor table, which it
 finds at the table offset; the extents are checked against the file size.
 A FIFO is rejected before anything is read from it.
 A payload is read, and its checksum verified, only when it is dumped whole,
-streamed, or carried forward by a change. One reader does the last two: it
-reads a payload in chunks of at most CHUNK_BYTES into one reused buffer,
-hashes each, and raises CorruptPartition after the last chunk if the
-digest differs, so no streamed payload is held whole and only one read to
-its end has been checked. raw_payload hands out a payload's unverified
-bytes for a header-only pass that its stream verifies afterwards.
+streamed, or carried forward by a change. One reader does all three: it
+reads exactly a payload's extent, in chunks of at most CHUNK_BYTES into
+one reused buffer, hashes each, and raises CorruptPartition after the last
+chunk if the digest differs, so no streamed payload is held whole and only
+one read to its end has been checked; a dump joins the chunks. raw_payload
+hands out a payload's unverified bytes for a header-only pass that its
+stream verifies afterwards.
 
 An image file is written whole or not at all, by one writer. It takes
 one source per partition: new bytes, consecutive byte pieces (such as an
@@ -59,6 +60,7 @@ payload that a change replaces or drops is never read.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import stat
 import struct
@@ -308,7 +310,8 @@ class BoxImage:
         """Open an existing image, validating header and table structure.
 
         Only the header and the descriptor table are read; payloads are
-        read, and their checksums verified, by dump_partition.
+        read, and their checksums verified, by dump_partition,
+        stream_partition or a change that keeps them.
         """
         path = Path(path)
         try:
@@ -402,21 +405,12 @@ class BoxImage:
         return part.partition_id
 
     def dump_partition(self, partition_id: int) -> bytes:
-        """Read a payload back from disk whole and verify its checksum."""
+        """Read a payload back from disk whole, through the chunk reader, so
+        exactly its extent is read and its checksum verified."""
         self._ensure_open()
-        part = self.descriptor(partition_id)
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(part.payload_offset)
-                payload = fh.read(part.payload_size)
-        except OSError as exc:
-            raise IoError(f"cannot read {self.path}: {exc}") from exc
-        if len(payload) != part.payload_size:
-            raise TruncatedImage(f"{self.name}: partition {partition_id} cut short")
-        if hashlib.sha256(payload).digest() != part.checksum:
-            raise CorruptPartition(
-                f"{self.name}: partition {partition_id} fails its checksum")
-        return payload
+        payload = io.BytesIO()
+        payload.writelines(self._stream(self.descriptor(partition_id)))
+        return payload.getvalue()
 
     def stream_partition(self, partition_id: int) -> Iterator[memoryview]:
         """Read a payload back from disk in chunks of at most CHUNK_BYTES.

@@ -30,17 +30,20 @@ directories. The run directory is created
 under the BOXI_SANDBOX environment variable's directory, or under the
 system temp directory when it is unset, and is always removed at the end.
 
+No payload or tree is held whole. Every view, materialize and stage
+writes its tree as the partition streams through its checksum; if the
+stream or the archive is bad, even in its last chunk, the half-written
+tree is removed and the run fails before the exec that would read it.
 Repacks run after every exec, so the report is complete before any output
 is committed, but for trails_attached. Each output is then one graft and
-one commit, and no payload or tree is held whole: the output's old payload
-is streamed through its checksum, keeping only the entries outside the
-bound subtree, and its new data partition is encoded straight into the
-image file, each scanned file read as it is encoded. A file that changed
-since its scan fails the commit with FileChanged, and the image keeps its
-bytes. A run with trails has provenance.attach_metadata store the output's
-record trail, assembled from the report and the plan's images, in that
-commit; the id of its metadata partition, checked before any application
-runs, goes to trails_attached.
+one commit: the output's old payload is streamed through its checksum,
+keeping only the entries outside the bound subtree, and its new data
+partition is encoded straight into the image file, each scanned file read
+as it is encoded. A file that changed since its scan fails the commit with
+FileChanged, and the image keeps its bytes. A run with trails has
+provenance.attach_metadata store the output's record trail, assembled from
+the report and the plan's images, in that commit; the id of its metadata
+partition, checked before any application runs, goes to trails_attached.
 """
 
 from __future__ import annotations
@@ -309,6 +312,10 @@ class Step:
       exec         run application component in its view dst with argv
       copy-out     copy the directory inner under src to dst
       repack       replace the subtree inner of partition_id of image with src
+
+    An unpack (view, materialize, stage) writes each file as the partition
+    streams through its checksum, and leaves no tree at dst if the
+    partition or its archive turns out bad.
     """
 
     op: str
@@ -514,9 +521,11 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
     """Run every step of a plan in a fresh run directory, removed at the end.
 
     The steps read and write only the plan's images, which are closed at
-    the end. A materialize step whose directory no link or copy-in reads is
-    not unpacked; the repack that reads it splices the partition: a header
-    pass, then its verified stream inside the commit. Repack steps run
+    the end. A view, materialize or stage step extracts its partition's
+    stream, so a bad partition fails that step, leaving no tree, before any
+    later exec. A materialize step whose directory no link or copy-in reads
+    is not unpacked; the repack that reads it splices the partition: a
+    header pass, then its verified stream inside the commit. Repack steps run
     last, each output's through one graft of its old payload's stream and
     one commit, which also stores the output's trail for spec when one is
     given; each output's trail partition id is checked before anything
@@ -541,7 +550,7 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
             source, dst = run_dir / step.src / step.inner, run_dir / step.dst
             if step.op in (VIEW, MATERIALIZE, STAGE):
                 archive.extract_dir(
-                    plan.images[step.image].dump_partition(step.partition_id), dst)
+                    plan.images[step.image].stream_partition(step.partition_id), dst)
             elif step.op == EXEC:
                 readable = [run_dir / mount.dst for mount in plan.steps
                             if mount.op in (LINK, COPY_IN)

@@ -148,14 +148,15 @@ def test_extract_fills_a_read_only_directory(tmp_path, monkeypatch):
     # Root may create entries anywhere, so stand in for the kernel's check
     # that refuses a new entry inside a directory without owner write.
     def refusing(real):
-        def guarded(self, *args, **kwargs):
-            if not self.exists() and not self.parent.stat().st_mode & stat.S_IWUSR:
-                raise PermissionError(13, "Permission denied", str(self))
-            return real(self, *args, **kwargs)
+        def guarded(path, *args, **kwargs):
+            path = Path(path)
+            if not path.exists() and not path.parent.stat().st_mode & stat.S_IWUSR:
+                raise PermissionError(13, "Permission denied", str(path))
+            return real(path, *args, **kwargs)
         return guarded
 
-    monkeypatch.setattr(Path, "mkdir", refusing(Path.mkdir))
-    monkeypatch.setattr(Path, "write_bytes", refusing(Path.write_bytes))
+    monkeypatch.setattr(os, "mkdir", refusing(os.mkdir))
+    monkeypatch.setattr(os, "open", refusing(os.open))
     entries = [ArchiveEntry("ro", 0o40555, None),
                ArchiveEntry("ro/inner", 0o40555, None),
                ArchiveEntry("ro/inner/f.txt", 0o100444, b"x"),
@@ -281,10 +282,24 @@ _BAD_LAST = {
 
 @pytest.mark.parametrize("fault", sorted(_BAD_LAST))
 def test_extract_checks_the_whole_blob_before_writing(tmp_path, fault):
+    # The sound entries are written before the walk reaches the fault, and
+    # removed again when it does.
     dest = tmp_path / "out"
     with pytest.raises(MalformedArchive):
         extract_dir(_BAD_LAST[fault], dest)
     assert list(dest.rglob("*")) == []
+
+
+def test_a_failed_extract_into_a_directory_removes_only_what_it_made(tmp_path):
+    dest = tmp_path / "out"
+    (dest / "b").mkdir(parents=True)
+    (dest / "keep.txt").write_bytes(b"keep")
+    with pytest.raises(MalformedArchive, match="trailing bytes"):
+        extract_dir(chunked(_BAD_LAST["trailing-bytes"], 5), tmp_path / "out" / "new")
+    with pytest.raises(FileExistsError):  # "a.txt" is written, then "b" collides
+        extract_dir(chunked(blob_for(*_SOUND_FIRST), 5), dest)
+    assert sorted(str(path.relative_to(dest)) for path in dest.rglob("*")) == ["b", "keep.txt"]
+    assert (dest / "keep.txt").read_bytes() == b"keep"
 
 
 def test_graft_copies_nothing_below_an_inner_path():
@@ -488,13 +503,18 @@ def _error(call, *args) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
-def test_a_malformed_blob_fails_alike_whole_and_in_chunks(case):
+def test_a_malformed_blob_fails_alike_whole_and_in_chunks(case, tmp_path):
     blob = _MALFORMED[case]
     whole = _error(decode, blob)
+    assert _error(extract_dir, blob, tmp_path / "whole") == whole
+    assert not (tmp_path / "whole").exists()
     for size in (1, 5, 4096):
         assert _error(decode, chunked(blob, size)) == whole
         assert _error(content_bytes, chunked(blob, size)) == whole
         assert _error(graft, chunked(blob, size), "a", []) == whole
+        dest = tmp_path / f"chunks-{size}" / "out"  # its parent is made, and removed
+        assert _error(extract_dir, chunked(blob, size), dest) == whole
+        assert list(tmp_path.glob(f"chunks-{size}")) == []
     assert _error(splice, io.BytesIO(blob), len(blob), chunked(blob, 5)) == whole
 
 

@@ -140,6 +140,29 @@ def test_dump_returns_exact_payload(tmp_path):
     assert img.dump_partition(pid) == payload
 
 
+def _rchar() -> tuple[int, int]:
+    """This process's rchar, and the bytes that reading it added."""
+    with open("/proc/self/io", "rb") as fh:
+        text = fh.read()
+    fields = dict(line.split(b": ") for line in text.splitlines())
+    return int(fields[b"rchar"]), len(text)
+
+
+def test_dump_reads_exactly_its_payload(tmp_path):
+    # A small payload at an offset: a buffered read would fill its buffer
+    # on to the next 8 KiB boundary.
+    img = BoxImage.create("img", tmp_path / "img.boxi", [
+        NewPartition(b"x" * 5000, name="first", **DATA_CODES),
+        NewPartition(bytes(range(250)) * 4, name="second", **DATA_CODES),
+        NewPartition(b"y" * 100_000, name="third", **DATA_CODES)])
+    img.dump_partition(2)  # anything a first call loads is loaded now
+    before, own = _rchar()
+    payload = img.dump_partition(2)
+    after, _ = _rchar()
+    assert payload == bytes(range(250)) * 4
+    assert after - before - own == len(payload)
+
+
 def test_reopen_sees_identical_state(tmp_path):
     img = make_image(tmp_path)
     img.add_partition(b"one", name="one", **DATA_CODES)

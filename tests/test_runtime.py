@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from boxi import archive, scenarios, standins
+from boxi import archive, runtime, scenarios, standins
 from boxi import image as image_mod
 from boxi.archive import ArchiveEntry, decode, encode_entries, extract_dir
 from boxi.cli import main
@@ -1067,6 +1067,49 @@ def test_corruption_found_mid_stream_fails_the_transfer(workbench, monkeypatch, 
     assert caught.value.exit_code == 4
     assert dst.read_bytes() == before
     assert list(dst.parent.glob(".dst.boxi.*")) == []
+
+
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
+def test_an_input_corrupt_in_its_last_chunk_fails_the_run_before_its_exec(
+        workbench, tmp_path, monkeypatch, capsys, mode):
+    # The input's tree is written as its stream is read, and only the
+    # checksum after the last chunk finds the flipped bit.
+    monkeypatch.setattr(image_mod, "CHUNK_BYTES", 64)
+    flow = subdirectory_workflow(workbench, "in:/")
+    source = workbench.root / "input.boxi"
+    with BoxImage.open(source) as image:
+        part = image.descriptor(1)
+    assert part.payload_size > 2 * 64
+    flip_bit(source, part.payload_offset + part.payload_size - 1, 0)  # the last file's content
+    sandbox = tmp_path / "sandboxes"
+    sandbox.mkdir()
+    monkeypatch.setenv(SANDBOX_ENV, str(sandbox))
+    executed = []
+    monkeypatch.setattr(runtime, "_execute", lambda view, *_: executed.append(view))
+    output = workbench.root / "output.boxi"
+    before = output.read_bytes()
+    assert main(["run", "--mode", mode, str(flow)]) == 4
+    assert "partition 1 fails its checksum" in capsys.readouterr().err
+    assert executed == []
+    assert list(sandbox.iterdir()) == []
+    assert output.read_bytes() == before
+
+
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
+def test_a_run_holds_no_payload(workbench, tmp_path, mode):
+    files = {f"part{index}.bin": bytes([index]) * (1 << 20) for index in range(8)}
+    spec = workbench.identity_spec(files)
+    peaks = []
+    for _ in ("first run", "rerun"):  # a rerun also streams the output's old payload
+        tracemalloc.start()
+        try:
+            run_workflow(spec, mode, trail=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    tree = output_tree(workbench.root / "output.boxi", tmp_path / "check")
+    assert {path: tree[f"Outputs/data/{path}"][2] for path in files} == files
+    assert max(peaks) < 2 * image_mod.CHUNK_BYTES  # views, stages and repacks all stream
 
 
 @pytest.mark.parametrize("chunk", [5, 4096])
