@@ -53,12 +53,18 @@ failed write removes the file. Every later change (add, delete, update,
 storing metadata) writes the whole image to a temp file beside it, fsyncs
 that file and renames it over the old one, so a crash, or an error raised
 by a source partway through, leaves either the old image or the new one.
+Writeback of the temp file starts every WRITEBACK_BYTES as it is written
+(libc's sync_file_range where there is one, a hint whose result is not
+checked), so the disk writes while the rest of the change is still read and
+hashed and the fsync waits only for the last window; the fsync-then-rename
+order, and so what a crash leaves, is unchanged.
 The rewritten file keeps the permission bits of the one it replaces. A
 payload that a change replaces or drops is never read.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import io
 import os
@@ -143,6 +149,11 @@ METADATA_PARTITION_NAME = "metadata"
 # A payload is streamed, and a kept one copied forward, in reads of at most
 # this many bytes.
 CHUNK_BYTES = 1 << 20
+
+# A change starts writeback of its temp file each time this many more bytes
+# have been written to it.
+WRITEBACK_BYTES = 8 * CHUNK_BYTES
+SYNC_FILE_RANGE_WRITE = 2
 
 # What a changed partition's payload comes from: bytes, consecutive byte
 # pieces, or a function of the commit's modified-at time returning bytes.
@@ -243,6 +254,47 @@ def _new_descriptor(existing: list[PartitionDescriptor], image_name: str,
         raise NoFreePartitionId(f"{image_name}: partition id {pid - 1} is the largest allowed")
     return PartitionDescriptor(
         pid, new.datatype, new.fstype, new.parttype, new.arch, new.name, 0, 0, b"")
+
+
+def _libc_sync_file_range() -> Callable[[int, int, int, int], int] | None:
+    """libc's sync_file_range(fd, offset, nbytes, flags), or None where
+    libc has none; os has no binding for it."""
+    try:
+        call = ctypes.CDLL(None, use_errno=True).sync_file_range
+    except (OSError, AttributeError):
+        return None
+    call.argtypes = (ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_uint)
+    call.restype = ctypes.c_int
+    return call
+
+
+_sync_file_range = _libc_sync_file_range()
+
+
+class _WritingBack:
+    """A commit's temp file whose writes start kernel writeback: each time
+    WRITEBACK_BYTES more have been written since the last hint, the writer
+    is flushed and writeback of that range is started. A seek restarts the
+    count at the new position."""
+
+    def __init__(self, fh: BinaryIO, sync_file_range: Callable[[int, int, int, int], int]):
+        self._fh = fh
+        self._sync_file_range = sync_file_range
+        self._start = self._end = 0
+
+    def write(self, data: bytes) -> int:
+        written = self._fh.write(data)
+        self._end += len(data)
+        if self._end - self._start >= WRITEBACK_BYTES:
+            self._fh.flush()
+            self._sync_file_range(self._fh.fileno(), self._start,
+                                  self._end - self._start, SYNC_FILE_RANGE_WRITE)
+            self._start = self._end
+        return written
+
+    def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:
+        self._start = self._end = self._fh.seek(offset, whence)
+        return self._start
 
 
 def _open_nonblocking(path: str, flags: int) -> int:
@@ -580,11 +632,15 @@ class BoxImage:
         verified as it is copied, so a corrupt partition is never carried
         forward and no kept payload is held whole. A source that raises
         partway, such as a stream that fails its checksum after its last
-        chunk, fails the commit. The image is written to
-        a temp file beside it, fsynced, and renamed over it with the old
-        file's permission bits; a failure removes the temp file. A
-        symlinked path is followed, so the link stays a link. The handle
-        takes the new state only once the rename is done.
+        chunk, fails the commit. The image is written to a temp file
+        beside it, fsynced, and renamed over it with the old file's
+        permission bits; a failure removes the temp file. Writeback of the
+        temp file starts every WRITEBACK_BYTES as it is written, so the
+        fsync waits only for the last window; the fsync stays the one
+        durability check and still comes before the rename, so what a
+        crash leaves is unchanged. A symlinked path is followed, so the
+        link stays a link. The handle takes the new state only once the
+        rename is done.
         """
         modified_at = max(int(time.time()), self.modified_at)
         payloads = {pid: source(modified_at) if callable(source) else source
@@ -597,7 +653,9 @@ class BoxImage:
             try:
                 with open(fd, "wb") as fh:
                     os.fchmod(fh.fileno(), mode)
-                    placed = self._write(fh, modified_at, partitions, payloads)
+                    writer = fh if _sync_file_range is None else _WritingBack(
+                        fh, _sync_file_range)
+                    placed = self._write(writer, modified_at, partitions, payloads)
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(temp_name, target)

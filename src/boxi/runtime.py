@@ -29,6 +29,8 @@ its run directory stays empty, and the two-copy one stages through
 directories. The run directory is created
 under the BOXI_SANDBOX environment variable's directory, or under the
 system temp directory when it is unset, and is always removed at the end.
+An application's stderr goes to an unnamed file there, and only its tail
+is read back.
 
 No payload or tree is held whole. Every view, materialize and stage
 writes its tree as the partition streams through its checksum; if the
@@ -84,6 +86,8 @@ TWO_COPY = "two-copy"
 MODES = (ZERO_COPY, TWO_COPY)
 
 SANDBOX_ENV = "BOXI_SANDBOX"
+# An invocation record keeps this many characters of its stderr's end.
+STDERR_TAIL_CHARS = 2000
 
 
 # --- workflow documents --------------------------------------------------------
@@ -484,7 +488,11 @@ def _snapshot(root: Path) -> list[tuple[str, int, int, int, int]]:
     return sorted(found)
 
 
-def _execute(view: Path, app_id: str, argv: tuple[str, ...]) -> InvocationRecord:
+def _execute(view: Path, app_id: str, argv: tuple[str, ...],
+             run_dir: Path) -> InvocationRecord:
+    """Run an application's runscript in its view. Its stderr goes to an
+    unnamed file in run_dir, of which only the last STDERR_TAIL_CHARS
+    characters are read back, so a noisy application costs no memory."""
     manifest_file = view / MANIFEST_PATH
     if not manifest_file.is_file():
         raise NoRunscript(f"application {app_id!r} ships no {MANIFEST_PATH}")
@@ -498,15 +506,21 @@ def _execute(view: Path, app_id: str, argv: tuple[str, ...]) -> InvocationRecord
     env.update(manifest.environment)
     started = time.time_ns()
     try:
-        proc = subprocess.run(
-            [str(script), *argv],
-            cwd=view, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        )
+        with tempfile.TemporaryFile(dir=run_dir) as stderr:
+            proc = subprocess.run(
+                [str(script), *argv],
+                cwd=view, env=env,
+                stdout=subprocess.DEVNULL, stderr=stderr,
+            )
+            finished = time.time_ns()
+            # A character is at most 4 bytes, and UTF-8 decoding falls back
+            # into step within 3, so these bytes end in the same characters
+            # as the whole stream.
+            size = stderr.seek(0, os.SEEK_END)
+            stderr.seek(max(0, size - 4 * STDERR_TAIL_CHARS - 3))
+            tail = stderr.read().decode("utf-8", errors="replace")[-STDERR_TAIL_CHARS:]
     except OSError as exc:
         raise SandboxError(f"cannot execute {script}: {exc}") from exc
-    finished = time.time_ns()
-    tail = proc.stderr.decode("utf-8", errors="replace")[-2000:]
     return InvocationRecord(
         component_id=app_id,
         argv=(manifest.runscript, *argv),
@@ -556,7 +570,7 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
                             if mount.op in (LINK, COPY_IN)
                             and mount.dst.startswith(step.dst + "/")]
                 before = [_snapshot(path) for path in readable]
-                records.append(_execute(dst, step.component, step.argv))
+                records.append(_execute(dst, step.component, step.argv, run_dir))
                 for path, snapshot in zip(readable, before):
                     if _snapshot(path) != snapshot:
                         raise SandboxError(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import errno
 import hashlib
 import os
@@ -406,6 +407,9 @@ def test_a_failed_change_leaves_the_image_as_it_was(tmp_path, monkeypatch, mutat
     img = make_image(tmp_path)
     payloads = _add_two_partitions(img, mutation)
     before = img.path.read_bytes()
+    # A window this small starts writeback within every change below.
+    monkeypatch.setattr(image_mod, "WRITEBACK_BYTES", 64)
+    hints = _Hints(monkeypatch)
 
     twin = tmp_path / "twin.boxi"
     shutil.copyfile(img.path, twin)
@@ -433,6 +437,109 @@ def test_a_failed_change_leaves_the_image_as_it_was(tmp_path, monkeypatch, mutat
 
     change(img)
     assert BoxImage.open(img.path).partitions == img.partitions
+    assert hints.ranges
+
+
+class _Hints:
+    """Stands in for the writeback hint, recording each range it is given
+    and the size the file had reached then, in order with the commit's
+    fsync and rename calls."""
+
+    def __init__(self, monkeypatch, result=0):
+        self.events: list[tuple] = []
+        self._result = result
+        monkeypatch.setattr(image_mod, "_sync_file_range", self._hint)
+        for name in ("fsync", "replace"):
+            monkeypatch.setattr(image_mod.os, name, self._recorded(name, getattr(os, name)))
+
+    def _hint(self, fd, offset, nbytes, flags):
+        assert flags == image_mod.SYNC_FILE_RANGE_WRITE
+        self.events.append(("hint", offset, nbytes, os.fstat(fd).st_size))
+        return self._result
+
+    def _recorded(self, name, call):
+        def recorded(*args):
+            self.events.append((name,))
+            return call(*args)
+        return recorded
+
+    @property
+    def ranges(self):
+        return [event[1:] for event in self.events if event[0] == "hint"]
+
+
+WINDOW = 256
+PIECES = [bytes([n]) * 100 for n in range(40)]  # 4,000 bytes, 15 windows of 256
+
+
+def test_a_commit_starts_writeback_window_by_window(tmp_path, monkeypatch):
+    img = BoxImage.create("img", tmp_path / "img.boxi",
+                          [NewPartition(b"old", name="data", **DATA_CODES)])
+    monkeypatch.setattr(image_mod, "WRITEBACK_BYTES", WINDOW)
+    hints = _Hints(monkeypatch)
+    img.update_partition(1, PIECES)
+    ranges = hints.ranges
+    assert len(ranges) >= 3
+    start = HEADER_SIZE
+    for offset, nbytes, flushed in ranges:  # consecutive, and already in the file
+        assert offset == start and nbytes >= WINDOW
+        assert offset + nbytes <= flushed
+        start = offset + nbytes
+    assert img.path.stat().st_size - start < WINDOW  # only the tail is left to fsync
+    assert [event[0] for event in hints.events] == (
+        ["hint"] * len(ranges) + ["fsync", "replace"])
+    assert BoxImage.open(img.path).dump_partition(1) == b"".join(PIECES)
+
+
+def test_creating_an_image_starts_no_writeback(tmp_path, monkeypatch):
+    monkeypatch.setattr(image_mod, "WRITEBACK_BYTES", WINDOW)
+    hints = _Hints(monkeypatch)
+    img = BoxImage.create("img", tmp_path / "img.boxi",
+                          [NewPartition(PIECES, name="data", **DATA_CODES)])
+    assert hints.events == []
+    assert img.dump_partition(1) == b"".join(PIECES)
+
+
+class _LibcWithout:
+    """A libc that lacks sync_file_range."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+
+def _without_the_symbol(patch):
+    patch.setattr(ctypes, "CDLL", _LibcWithout)
+    found = image_mod._libc_sync_file_range()
+    assert found is None
+    patch.setattr(image_mod, "_sync_file_range", found)
+
+
+HINTS = {
+    "none": lambda patch: patch.setattr(image_mod, "_sync_file_range", None),
+    "libc": lambda patch: None,
+    "failing": lambda patch: _Hints(patch, result=-1),
+    "missing": _without_the_symbol,
+}
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["new-payload", "beside-a-kept-one"])
+def test_the_hint_leaves_the_bytes_of_a_hint_free_commit(tmp_path, monkeypatch, kept):
+    original = BoxImage.create("img", tmp_path / "img.boxi", [
+        NewPartition(b"".join(PIECES) if kept else b"old", name="kept", **DATA_CODES),
+        NewPartition(b"old", name="data", **DATA_CODES)])
+    monkeypatch.setattr(image_mod, "WRITEBACK_BYTES", WINDOW)
+    monkeypatch.setattr(image_mod, "CHUNK_BYTES", 64)
+    monkeypatch.setattr(image_mod.time, "time", lambda: original.modified_at + 1)
+    written = {}
+    for name, install in HINTS.items():
+        path = tmp_path / f"{name}.boxi"
+        shutil.copyfile(original.path, path)
+        with monkeypatch.context() as patch:
+            install(patch)
+            BoxImage.open(path).update_partition(2, PIECES)
+        written[name] = path.read_bytes()
+    assert [name for name, data in written.items() if data != written["none"]] == []
+    assert BoxImage.open(tmp_path / "failing.boxi").dump_partition(2) == b"".join(PIECES)
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))

@@ -680,6 +680,42 @@ sys.exit(1)
     assert "something broke" in report.invocations[0].stderr_tail
 
 
+NOISY = """#!/usr/bin/env python3
+import sys
+# 1 MiB of 2- to 4-byte characters, cut mid-character
+block = ("\\u00e9\\u20ac\\U0001d11e" * 120000).encode()[: 1 << 20]
+for _ in range(16):
+    sys.stderr.buffer.write(block)
+sys.exit(1)
+"""
+
+
+def test_a_noisy_application_costs_no_memory(workbench, tmp_path, monkeypatch):
+    sandbox = tmp_path / "sandbox"
+    monkeypatch.setenv(SANDBOX_ENV, str(sandbox))
+    workbench.app_image(NOISY)
+    spec = workbench.spec(
+        components=[{"id": "app", "role": "application", "image": "app.boxi"}],
+        bindings=[],
+        invocations=[{"app": "app", "argv": []}],
+    )
+    tracemalloc.start()
+    try:
+        report = run_workflow(spec, ZERO_COPY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * image_mod.CHUNK_BYTES  # 16 MiB went to stderr
+    assert report.invocations[0].exit_status == 1
+    # Decoding resynchronises within a few bytes, so two blocks end in the
+    # same characters as all sixteen.
+    block = ("é€\U0001d11e" * 120000).encode()[: 1 << 20]
+    expected = (block * 2).decode("utf-8", errors="replace")[-runtime.STDERR_TAIL_CHARS:]
+    assert report.invocations[0].stderr_tail == expected
+    assert expected.endswith("\ufffd") and len(expected) == runtime.STDERR_TAIL_CHARS
+    assert list(sandbox.iterdir()) == []
+
+
 def test_views_are_isolated_between_invocations(workbench):
     workbench.input_image({"secret.txt": b"s"})
     workbench.app_image(standins.PROBE, name="app1")
