@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
+from contextlib import redirect_stdout, suppress
+from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import IO, Any, Callable, Iterator
 
 from .bench import bench_space, bench_time, bench_transfer
 from .errors import BoxiError, IoError
 from .image import (
     ARCH_NAMES,
+    CHUNK_BYTES,
     DATATYPE_NAMES,
     FORMAT_VERSION,
     FSTYPE_NAMES,
@@ -39,10 +43,45 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        return args.handler(args)
+        with redirect_stdout(_Output(sys.stdout)):
+            status = args.handler(args)
+            sys.stdout.flush()
+        return status
     except BoxiError as exc:
         print(f"boxi: {exc}", file=sys.stderr)
         return exc.exit_code
+
+
+class _Output:
+    """A command's output stream, text or its binary buffer, on which a
+    failed write or flush, such as to a full disk or a closed pipe, raises
+    IoError."""
+
+    def __init__(self, stream: IO) -> None:
+        self._stream = stream
+
+    @property
+    def buffer(self) -> "_Output":
+        return _Output(self._stream.buffer)
+
+    def write(self, data: str | bytes) -> int:
+        written = self._checked(self._stream.write, data)
+        while written < len(data):  # a buffered write stops short when its next write fails
+            written += self._checked(self._stream.write, data[written:])
+        return written
+
+    def flush(self) -> None:
+        self._checked(self._stream.flush)
+
+    def _checked(self, call: Callable[..., Any], *args: object) -> Any:
+        try:
+            return call(*args)
+        except OSError as exc:
+            # Python flushes the stream again at exit; let what it still
+            # holds go to /dev/null, as the signal module's SIGPIPE note advises.
+            with suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), self._stream.fileno())
+            raise IoError(f"cannot write output: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -258,12 +297,12 @@ def _cmd_dump(args: argparse.Namespace) -> int:
 def _cmd_add(args: argparse.Namespace) -> int:
     payload_path = Path(args.payload)
     try:
-        payload = payload_path.read_bytes()
+        payload = open(payload_path, "rb", buffering=0)
     except OSError as exc:
         raise IoError(f"cannot read payload {payload_path}: {exc}") from exc
-    with BoxImage.open(args.image) as image:
+    with payload, BoxImage.open(args.image) as image:
         partition_id = image.add_partition(
-            payload,
+            _pieces_of(payload, payload_path),
             datatype=args.datatype,
             fstype=args.partfs,
             parttype=args.parttype,
@@ -272,6 +311,15 @@ def _cmd_add(args: argparse.Namespace) -> int:
         )
     print(partition_id)
     return 0
+
+
+def _pieces_of(payload: IO[bytes], payload_path: Path) -> Iterator[bytes]:
+    """payload's CHUNK_BYTES reads, so that it is read as it is written; a
+    failed read names the payload, not the image being rewritten."""
+    try:
+        yield from iter(partial(payload.read, CHUNK_BYTES), b"")
+    except OSError as exc:
+        raise IoError(f"cannot read payload {payload_path}: {exc}") from exc
 
 
 def _cmd_del(args: argparse.Namespace) -> int:

@@ -41,25 +41,22 @@ one read to its end has been checked; a dump joins the chunks. raw_payload
 hands out a payload's unverified bytes for a header-only pass that its
 stream verifies afterwards.
 
-An image file is written whole or not at all, by one writer. It takes
-one source per partition: new bytes, consecutive byte pieces (such as an
-archive encoded on the fly, which may itself read another payload's
+An image file is written whole or not at all, by one writer, _commit. It
+takes one source per partition: new bytes, consecutive byte pieces (such as
+an archive encoded on the fly, which may itself read another payload's
 stream), or a payload kept from the image's current file, which is copied
 through the chunk reader. Each new payload is hashed as it is written; the
 descriptor table follows the payloads, and the header, which points at the
-table, is written last. Creating an image writes the new file this way; a
-path that is not a regular file, such as a FIFO, is refused first, and a
-failed write removes the file. Every later change (add, delete, update,
-storing metadata) writes the whole image to a temp file beside it, fsyncs
-that file and renames it over the old one, so a crash, or an error raised
-by a source partway through, leaves either the old image or the new one.
-Writeback of the temp file starts every WRITEBACK_BYTES as it is written
-(libc's sync_file_range where there is one, a hint whose result is not
-checked), so the disk writes while the rest of the change is still read and
-hashed and the fsync waits only for the last window; the fsync-then-rename
-order, and so what a crash leaves, is unchanged.
-The rewritten file keeps the permission bits of the one it replaces. A
-payload that a change replaces or drops is never read.
+table, is written last. A create at a path with nothing at it writes the
+file there, and a failure removes it, as there is nothing to lose. Every
+other write (add, delete, update, storing metadata, or a create over a
+file) refuses a target that is not a regular file, writes a temp file
+beside it, fsyncs it and renames it over the target with its permission
+bits, so a crash, or a source that raises partway, leaves the old image or
+the new. Writeback of the temp file starts every WRITEBACK_BYTES (libc's
+sync_file_range where there is one, a hint whose result is not checked),
+so the fsync waits only for the last window. A payload that a change
+replaces or drops is never read.
 """
 
 from __future__ import annotations
@@ -73,7 +70,7 @@ import struct
 import tempfile
 import time
 import uuid as uuidlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -302,6 +299,24 @@ def _open_nonblocking(path: str, flags: int) -> int:
     return os.open(path, flags | os.O_NONBLOCK)
 
 
+def _open_new(path: Path) -> int | None:
+    """Open path for writing if nothing is at it; None if something is."""
+    with suppress(FileExistsError):
+        return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    return None
+
+
+@contextmanager
+def _removed_on_failure(path: Path | str) -> Iterator[None]:
+    """Remove the file begun at path if the block raises."""
+    try:
+        yield
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(path)
+        raise
+
+
 class BoxImage:
     """Handle to one image file.
 
@@ -323,15 +338,11 @@ class BoxImage:
     @classmethod
     def create(cls, name: str, path: Path | str | None = None,
                partitions: Sequence[NewPartition] = ()) -> "BoxImage":
-        """Create a new image file holding the given partitions.
-
-        Ids are assigned from 1 in the order given, and the whole file is
-        written in one pass. A path that is not a regular file, such as a
-        FIFO, is refused before anything is written; a write that fails,
-        including a payload source that raises, removes the file. When path
-        is omitted the file is written as <name>.boxi in the current
-        directory.
-        """
+        """Create an image file holding the given partitions, with ids from
+        1 in the order given. _commit writes it, so a failure leaves what was
+        at the path, and a path that is not a regular file, such as a FIFO,
+        is refused. When path is omitted the file is <name>.boxi in the
+        current directory."""
         _checked_name(name, "image")
         if "/" in name:
             raise InvalidName(f"image name contains '/': {name!r}")
@@ -339,22 +350,10 @@ class BoxImage:
         descriptors: list[PartitionDescriptor] = []
         for new in partitions:
             descriptors.append(_new_descriptor(descriptors, name, new))
-        now = int(time.time())
+        payloads = {part.partition_id: new.payload for part, new in zip(descriptors, partitions)}
+        now = int(time.time())  # a new image's two times are one
         image = cls(target, uuidlib.uuid4(), now, now, [])
-        try:
-            with open(target, "wb", opener=_open_nonblocking) as fh:
-                if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    raise IoError(f"cannot create image at {target}: not a regular file")
-                try:
-                    image._partitions = image._write(fh, now, descriptors, {
-                        part.partition_id: new.payload
-                        for part, new in zip(descriptors, partitions)})
-                    fh.flush()
-                except BaseException:
-                    os.unlink(target)
-                    raise
-        except OSError as exc:
-            raise IoError(f"cannot create image at {target}: {exc}") from exc
+        image._commit(descriptors, payloads, create=True)
         return image
 
     @classmethod
@@ -447,9 +446,9 @@ class BoxImage:
 
     # --- partition operations ----------------------------------------------
 
-    def add_partition(self, payload: bytes, *, datatype: int, fstype: int,
-                      parttype: int, arch: int, name: str) -> int:
-        """Append a partition and return its id. The image is rewritten; see _commit."""
+    def add_partition(self, payload: bytes | Iterable[bytes], *, datatype: int,
+                      fstype: int, parttype: int, arch: int, name: str) -> int:
+        """Append a partition of payload bytes or byte pieces; return its id. See _commit."""
         self._ensure_open()
         part = _new_descriptor(self._partitions, self.name, NewPartition(
             payload, datatype, fstype, parttype, arch, name))
@@ -623,7 +622,7 @@ class BoxImage:
                 f"{self.name}: partition {part.partition_id} fails its checksum")
 
     def _commit(self, partitions: list[PartitionDescriptor],
-                changed: Mapping[int, Source]) -> None:
+                changed: Mapping[int, Source], create: bool = False) -> None:
         """Make partitions the image's whole content, atomically.
 
         changed maps ids to their new sources; a source that is a function
@@ -632,40 +631,40 @@ class BoxImage:
         verified as it is copied, so a corrupt partition is never carried
         forward and no kept payload is held whole. A source that raises
         partway, such as a stream that fails its checksum after its last
-        chunk, fails the commit. The image is written to a temp file
-        beside it, fsynced, and renamed over it with the old file's
-        permission bits; a failure removes the temp file. Writeback of the
-        temp file starts every WRITEBACK_BYTES as it is written, so the
-        fsync waits only for the last window; the fsync stays the one
-        durability check and still comes before the rename, so what a
-        crash leaves is unchanged. A symlinked path is followed, so the
-        link stays a link. The handle takes the new state only once the
-        rename is done.
+        chunk, fails the commit.
+
+        A create writes a path with nothing at it, or a dangling link's
+        destination, in place; anything else is a temp file renamed over the
+        resolved target (see the module docstring). The handle takes the new
+        state only once the file is in place.
         """
-        modified_at = max(int(time.time()), self.modified_at)
+        modified_at = self.modified_at if create else max(int(time.time()), self.modified_at)
         payloads = {pid: source(modified_at) if callable(source) else source
                     for pid, source in changed.items()}
-        target = self.path.resolve()
+        failure = f"cannot create image at {self.path}" if create else f"cannot rewrite {self.path}"
         try:
-            mode = stat.S_IMODE(os.stat(target).st_mode)
-            fd, temp_name = tempfile.mkstemp(dir=target.parent,
-                                             prefix=f".{target.name}.")
-            try:
-                with open(fd, "wb") as fh:
-                    os.fchmod(fh.fileno(), mode)
-                    writer = fh if _sync_file_range is None else _WritingBack(
-                        fh, _sync_file_range)
-                    placed = self._write(writer, modified_at, partitions, payloads)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(temp_name, target)
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise
+            fd = _open_new(self.path) if create else None
+            target = self.path if fd is not None else Path(os.path.realpath(self.path))
+            if fd is None and create:  # a dangling link, whose destination may be free
+                fd = _open_new(target)
+            if fd is not None:  # a new file, with nothing to lose: written in place
+                with _removed_on_failure(target), open(fd, "wb") as fh:
+                    placed = self._write(fh, modified_at, partitions, payloads)
+            else:
+                mode = os.stat(target).st_mode
+                if not stat.S_ISREG(mode):
+                    raise IoError(f"{failure}: not a regular file")
+                fd, temp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+                with _removed_on_failure(temp_name):
+                    with open(fd, "wb") as fh:
+                        os.fchmod(fd, stat.S_IMODE(mode))
+                        writer = fh if _sync_file_range is None else _WritingBack(
+                            fh, _sync_file_range)
+                        placed = self._write(writer, modified_at, partitions, payloads)
+                        fh.flush()
+                        os.fsync(fd)
+                    os.replace(temp_name, target)
         except OSError as exc:
-            raise IoError(f"cannot rewrite {self.path}: {exc}") from exc
+            raise IoError(f"{failure}: {exc}") from exc
         self._partitions = placed
         self.modified_at = modified_at

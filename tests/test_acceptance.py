@@ -419,6 +419,7 @@ def _sleep_workflow(root: Path, seconds: float):
     return spec, script
 
 
+@pytest.mark.slow
 def test_overhead_ratio_shrinks_with_compute_time(tmp_path, capsys):
     with _verdict(capsys, 5, "overhead ratio shrinks with compute and stays under 10%") as notes:
         ratios: dict[float, float] = {}

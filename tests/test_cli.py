@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import io
 import itertools
 import json
 import os
@@ -10,18 +12,20 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import uuid as uuidlib
 from pathlib import Path
 
 import pytest
 
 import boxi.image as image_mod
-from boxi import cli, errors, runtime, scenarios, standins
+from boxi import cli, errors, packager, runtime, scenarios, standins
 from boxi.archive import ArchiveEntry, encode_entries
 from boxi.cli import main
 from boxi.image import (
     ARCH_ANY,
     ARCH_X86_64,
+    CHUNK_BYTES,
     DATA_JSON,
     DATA_PARTITION,
     FS_ARCHIVE_RO,
@@ -35,6 +39,7 @@ from boxi.packager import SoftwareManifest, pack_data_dir
 from boxi.provenance import canonical_json, read_trail
 from boxi.runtime import load_workflow, run_workflow
 
+from .conftest import FILE_CHANGES
 from .oracles import mask_trail, read_descriptors, read_header
 from .test_image import _raise_oserror, _WriteFaults
 
@@ -449,6 +454,50 @@ def test_add_unknown_code_exits_2(tmp_path, capsys):
                  "--partfs", "1", "--parttype", "4", "--partarch", "0"]) == 2
 
 
+def test_add_streams_its_payload_file(tmp_path, capsys):
+    image = tmp_path / "out.boxi"
+    main(["new-output", "Outputs", str(image)])
+    payload = tmp_path / "big.bin"
+    payload.write_bytes(bytes(range(256)) * (16 << 12))  # 16 MiB
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        status = main(["add", str(image), str(payload), "--datatype", "4",
+                       "--partfs", "2", "--parttype", "3", "--partarch", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0, capsys.readouterr().err
+    assert peak <= 2.5 * CHUNK_BYTES  # a chunk or two, never the 16 MiB
+    assert BoxImage.open(image).dump_partition(2) == payload.read_bytes()
+
+
+class _FailingAfterOneChunk(io.FileIO):
+    """A payload file whose reads fail once its first chunk is read."""
+
+    def read(self, size: int = -1) -> bytes:
+        if self.tell():
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return super().read(size)
+
+
+def test_add_names_a_payload_whose_read_fails_partway(tmp_path, monkeypatch, capsys):
+    image = tmp_path / "out.boxi"
+    main(["new-output", "Outputs", str(image)])
+    before = image.read_bytes()
+    payload = tmp_path / "big.bin"
+    payload.write_bytes(b"p" * (2 * CHUNK_BYTES))
+    monkeypatch.setattr(cli, "open", lambda path, *_, **__: _FailingAfterOneChunk(path),
+                        raising=False)
+    capsys.readouterr()
+    assert main(["add", str(image), str(payload), "--datatype", "4", "--partfs", "2",
+                 "--parttype", "3", "--partarch", "2"]) == errors.IoError.exit_code
+    assert capsys.readouterr().err == (
+        f"boxi: cannot read payload {payload}: [Errno 5] {os.strerror(errno.EIO)}\n")
+    assert image.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.bin", "out.boxi"]
+
+
 def _take_the_last_partition_id(image: Path) -> None:
     """Give an image's last partition the largest id a descriptor holds."""
     data = bytearray(image.read_bytes())
@@ -570,6 +619,94 @@ def test_new_output_at_a_fifo_exits_2_without_waiting_for_a_reader(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "cannot create image" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("change", sorted(FILE_CHANGES))
+def test_a_failed_pack_over_an_image_leaves_it_as_it_was(tmp_path, monkeypatch, capsys,
+                                                         change):
+    src = tmp_path / "Inputs"
+    src.mkdir()
+    (src / "a.bin").write_bytes(b"a" * 100_000)  # written to the image before b.bin is read
+    (src / "b.bin").write_bytes(b"b" * 100)
+    image = tmp_path / "input.boxi"
+    assert main([PACK, str(src), str(image)]) == 0
+    before = image.read_bytes()
+    real_scan = packager.scan_dir
+
+    def scan_then_change(root):
+        entries = real_scan(root)
+        FILE_CHANGES[change](src / "b.bin")
+        return entries
+
+    monkeypatch.setattr(packager, "scan_dir", scan_then_change)
+    capsys.readouterr()
+    assert main([PACK, str(src), str(image)]) == 2
+    assert "b.bin" in capsys.readouterr().err
+    assert image.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["Inputs", "input.boxi"]
+
+
+def _boxi_to(stdout, *args: str) -> subprocess.CompletedProcess:
+    """Run boxi in a fresh process with its standard output on stdout."""
+    return subprocess.run(
+        [sys.executable, "-m", "boxi", *args], stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+
+
+OUTPUT_COMMANDS = {
+    "dump": lambda image: ["dump", str(image), "1", "-"],
+    "inspect": lambda image: ["inspect", str(image)],
+}
+
+
+def _image_of_a_mebibyte(tmp_path: Path) -> Path:
+    """An image whose partition 1 holds more than a pipe does."""
+    source = tmp_path / "Data"
+    source.mkdir()
+    (source / "x.bin").write_bytes(os.urandom(1 << 20))
+    image = tmp_path / "data.boxi"
+    assert main([PACK, str(source), str(image)]) == 0
+    return image
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+@pytest.mark.parametrize("sink", ["full-disk", "closed-pipe"])
+def test_a_failed_write_of_the_output_exits_2(tmp_path, capsys, command, sink):
+    image = _image_of_a_mebibyte(tmp_path)
+    capsys.readouterr()
+    if sink == "full-disk":
+        with open("/dev/full", "w") as full:
+            proc = _boxi_to(full, *OUTPUT_COMMANDS[command](image))
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _boxi_to(write_end, *OUTPUT_COMMANDS[command](image))
+        finally:
+            os.close(write_end)
+    assert proc.returncode == errors.IoError.exit_code, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("boxi: cannot write output: ")
+
+
+def test_a_dump_whose_reader_leaves_midway_exits_2(tmp_path, capsys):
+    # The write the reader leaves stops short without an error; the next one fails.
+    image = _image_of_a_mebibyte(tmp_path)
+    capsys.readouterr()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "boxi", "dump", str(image), "1", "-"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    try:
+        assert proc.stdout.buffer.read(1)  # the dump has begun
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == errors.IoError.exit_code
+        (line,) = proc.stderr.read().splitlines()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert line == "boxi: cannot write output: [Errno 32] Broken pipe"
 
 
 def test_dump_checksum_failure_exits_4(tmp_path, capsys):

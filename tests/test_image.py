@@ -6,9 +6,11 @@ import ctypes
 import errno
 import hashlib
 import os
+import pathlib
 import shutil
 import stat
 import struct
+import tempfile
 import time
 import uuid as uuidlib
 
@@ -385,9 +387,18 @@ MUTATIONS = {
     "add": lambda img: img.add_partition(b"new payload", name="new", **DATA_CODES),
     "attach": lambda img: attach_metadata(img, _TRAIL),
     "attach-over-strays": lambda img: attach_metadata(img, _TRAIL),
+    "create-over": lambda img: BoxImage.create(img.name, img.path, [
+        NewPartition([b"new ", b"payload"], name="new", **DATA_CODES)]),
     "delete": lambda img: img.delete_partition(1),
     "update": lambda img: img.update_partition(2, b"replacement"),
 }
+
+
+def _mutated(mutation, img) -> BoxImage:
+    """Apply a mutation to img; return the handle that holds the new state,
+    which for a create over the image is the one create returns."""
+    result = MUTATIONS[mutation](img)
+    return result if isinstance(result, BoxImage) else img
 
 
 def _add_two_partitions(img, mutation) -> dict[int, bytes]:
@@ -435,8 +446,8 @@ def test_a_failed_change_leaves_the_image_as_it_was(tmp_path, monkeypatch, mutat
         assert list(tmp_path.glob(f".{img.path.name}.*")) == [], where
         assert {pid: img.dump_partition(pid) for pid in payloads} == payloads, where
 
-    change(img)
-    assert BoxImage.open(img.path).partitions == img.partitions
+    after = _mutated(mutation, img)
+    assert BoxImage.open(img.path).partitions == after.partitions
     assert hints.ranges
 
 
@@ -500,6 +511,21 @@ def test_creating_an_image_starts_no_writeback(tmp_path, monkeypatch):
     assert img.dump_partition(1) == b"".join(PIECES)
 
 
+def test_creating_at_an_empty_path_writes_it_in_place(tmp_path, monkeypatch):
+    called = []
+    for owner, name in [(os, "stat"), (os, "lstat"), (os.path, "realpath"),
+                        (pathlib.Path, "resolve"), (tempfile, "mkstemp")]:
+        def recorded(*args, _call=getattr(owner, name), _name=name, **kwargs):
+            called.append(_name)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(owner, name, recorded)
+    img = BoxImage.create("img", tmp_path / "img.boxi",
+                          [NewPartition(PIECES, name="data", **DATA_CODES)])
+    monkeypatch.undo()
+    assert called == []  # hints, fsync and rename: the test above
+    assert BoxImage.open(img.path).dump_partition(1) == b"".join(PIECES)
+
+
 class _LibcWithout:
     """A libc that lacks sync_file_range."""
 
@@ -549,8 +575,7 @@ def test_a_change_through_a_symlink_rewrites_its_target(tmp_path, mutation):
     (tmp_path / "links").mkdir()
     link = tmp_path / "links" / "img.boxi"
     link.symlink_to(real.path)
-    via_link = BoxImage.open(link)
-    MUTATIONS[mutation](via_link)
+    via_link = _mutated(mutation, BoxImage.open(link))
     assert link.is_symlink()
     assert BoxImage.open(real.path).partitions == via_link.partitions
     assert list((tmp_path / "links").iterdir()) == [link]
@@ -563,6 +588,41 @@ def test_a_change_keeps_the_permission_bits(tmp_path, mutation):
     img.path.chmod(0o640)
     MUTATIONS[mutation](img)
     assert stat.S_IMODE(img.path.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("mutation", sorted(set(MUTATIONS) - {"create-over"}))
+def test_a_change_whose_file_is_gone_fails_and_creates_nothing(tmp_path, mutation):
+    img = make_image(tmp_path)
+    _add_two_partitions(img, mutation)
+    img.path.unlink()
+    with pytest.raises(IoError, match="cannot rewrite"):
+        MUTATIONS[mutation](img)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_create_over_an_image_leaves_it_as_it_was(tmp_path):
+    img = BoxImage.create("img", tmp_path / "img.boxi",
+                          [NewPartition(b"old", name="data", **DATA_CODES)])
+    before = img.path.read_bytes()
+
+    def source_failing_after_its_first_piece():
+        yield b"new"
+        raise RuntimeError("the source failed")
+
+    with pytest.raises(RuntimeError, match="the source failed"):
+        BoxImage.create("img", img.path, [NewPartition(
+            source_failing_after_its_first_piece(), name="data", **DATA_CODES)])
+    assert img.path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [img.path]
+
+
+def test_a_create_at_a_dangling_link_creates_its_destination(tmp_path):
+    link = tmp_path / "img.boxi"
+    link.symlink_to("real.boxi")
+    img = BoxImage.create("img", link, [NewPartition(b"x", name="data", **DATA_CODES)])
+    assert link.is_symlink()
+    assert BoxImage.open(tmp_path / "real.boxi").partitions == img.partitions
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img.boxi", "real.boxi"]
 
 
 def test_closed_handle_refuses_operations(tmp_path):
