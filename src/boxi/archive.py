@@ -34,9 +34,9 @@ One validating walk checks every rule above, entry by entry, over three
 byte sources: a whole blob, whose contents stay views into it;
 consecutive chunks, each valid only until the next is read, such as a
 partition read through its checksum; and a header-only pass over a file,
-which seeks past contents (splice). decode, graft, content_bytes and
-extract_dir take a blob whole or as chunks, and splice's contents are
-chunks. Over chunks, a broken rule is raised only after they are read to
+read by position, which passes contents over unread (splice). decode,
+graft, content_bytes and extract_dir take a blob whole or as chunks, and
+splice's contents are chunks. Over chunks, a broken rule is raised only after they are read to
 their end, so a checksum failure comes first. extract_dir writes each file
 as the walk reaches it, and removes what it wrote if the walk then fails.
 
@@ -56,7 +56,7 @@ import struct
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import FileChanged, MalformedArchive, UnsupportedEntry
 
@@ -201,9 +201,9 @@ def encode_entries(entries: list[ArchiveEntry]) -> bytes:
 
 
 def _read_scanned(path: Path, scanned: os.stat_result) -> Iterator[bytes]:
-    """The file scan_dir's lstat found at path, opened without following a
-    symlink; FileChanged unless it is still that regular file, of that
-    size, ending exactly there."""
+    """The file scan_dir's lstat found at path, or boxi add's stat, opened
+    without following a symlink; FileChanged unless it is still that
+    regular file, of that size, ending exactly there."""
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
     except OSError as exc:
@@ -319,23 +319,21 @@ class _Stream:
 
 
 class _Headers:
-    """A blob's size bytes in a file at its position, read for the headers
-    alone: contents are seeked past. Draining it reads chunks, the verified
-    stream of the same blob, to their end."""
+    """A blob's size bytes at offset in the file fd, read for the headers
+    alone, by position: contents are passed over unread. Draining it reads
+    chunks, the verified stream of the same blob, to their end."""
 
-    def __init__(self, fh: BinaryIO, size: int, chunks: Iterable[Chunk]):
-        self._fh, self._size, self._chunks = fh, size, chunks
+    def __init__(self, fd: int, offset: int, size: int, chunks: Iterable[Chunk]):
+        self._fd, self._offset, self._size, self._chunks = fd, offset, size, chunks
         self.pos = 0
 
     def read(self, n: int) -> bytes:
-        data = self._fh.read(min(n, self._size - self.pos))
+        data = os.pread(self._fd, min(n, self._size - self.pos), self._offset + self.pos)
         self.pos += len(data)
         return data
 
     def skip(self, n: int) -> None:
-        n = min(n, self._size - self.pos)
-        self._fh.seek(n, os.SEEK_CUR)
-        self.pos += n
+        self.pos += min(n, self._size - self.pos)
 
     def rest(self) -> int:
         return self._size - self.pos
@@ -450,13 +448,13 @@ class _SplicedBlob:
             self._finish()
 
 
-def splice(fh: BinaryIO, size: int, chunks: Iterable[Chunk]) -> list[ArchiveEntry]:
+def splice(fd: int, offset: int, size: int, chunks: Iterable[Chunk]) -> list[ArchiveEntry]:
     """The entries of a blob, read ahead from its headers, whose file
     contents stream from its verified chunks as encode_pieces yields them.
 
-    fh is a file at the first of the blob's size bytes, which are not yet
+    The blob is the size bytes at offset in the file fd, which are not yet
     verified, and chunks are the same bytes read through their checksum.
-    Only the headers are read from fh; a broken rule found there is raised
+    Only the headers are read from fd; a broken rule found there is raised
     after chunks are drained, so a checksum failure comes first. Each
     file's content is a LazyContent that reads the next stretch of chunks,
     so they must be encoded in this order, as encode_pieces does; the last
@@ -464,7 +462,7 @@ def splice(fh: BinaryIO, size: int, chunks: Iterable[Chunk]) -> list[ArchiveEntr
     match the one read ahead. A mode keeps only its file type and
     permission bits, as extract_dir and then scan_dir would leave it.
     """
-    headers = list(_entries(_Headers(fh, size, chunks)))
+    headers = list(_entries(_Headers(fd, offset, size, chunks)))
     read = _SplicedBlob(chunks, headers).pieces
     return [ArchiveEntry(path, stat.S_IFMT(mode) | stat.S_IMODE(mode),
                          None if stat.S_ISDIR(mode) else LazyContent(size, partial(read, index)))

@@ -10,18 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from contextlib import redirect_stdout, suppress
-from functools import partial
 from pathlib import Path
 from typing import IO, Any, Callable, Iterator
 
+from .archive import _read_scanned
 from .bench import bench_space, bench_time, bench_transfer
 from .errors import BoxiError, IoError
 from .image import (
     ARCH_NAMES,
-    CHUNK_BYTES,
     DATATYPE_NAMES,
     FORMAT_VERSION,
     FSTYPE_NAMES,
@@ -239,10 +239,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     with BoxImage.open(args.image) as image:
-        try:
-            file_size = image.path.stat().st_size
-        except OSError as exc:
-            raise IoError(f"cannot stat {image.path}: {exc}") from exc
+        file_size = os.fstat(image.fileno()).st_size
     if args.json:
         print(json.dumps({
             "name": image.name,
@@ -282,27 +279,63 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_dump(args: argparse.Namespace) -> int:
     with BoxImage.open(args.image) as image:
-        payload = image.dump_partition(args.id)
-    if args.dest == "-":
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-    else:
         try:
-            Path(args.dest).write_bytes(payload)
+            if args.dest != "-" and _dumped_beside(image, args.id, Path(args.dest)):
+                return 0
+            payload = image.dump_partition(args.id)  # verified whole before a byte is written
+            if args.dest == "-":
+                sys.stdout.buffer.write(payload)
+                sys.stdout.buffer.flush()
+            else:
+                Path(args.dest).write_bytes(payload)
         except OSError as exc:
             raise IoError(f"cannot write {args.dest}: {exc}") from exc
     return 0
 
 
+def _dumped_beside(image: BoxImage, partition_id: int, dest: Path) -> bool:
+    """Stream a payload into a temp file beside dest, and rename it over
+    dest once its checksum passes, so a failed dump leaves dest as it was.
+    The file gets an existing dest's permission bits, else a new file's.
+    False, with nothing written, when dest is something other than a
+    regular file, such as a device or a FIFO."""
+    chunks = image.stream_partition(partition_id)
+    target = Path(os.path.realpath(dest))
+    try:
+        info = os.stat(target)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(info.st_mode):
+            return False
+        mode = stat.S_IMODE(info.st_mode)
+    fd, temp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+    try:
+        with open(fd, "wb") as fh:
+            os.fchmod(fd, mode)
+            fh.writelines(chunks)
+        os.replace(temp_name, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp_name)
+        raise
+    return True
+
+
 def _cmd_add(args: argparse.Namespace) -> int:
     payload_path = Path(args.payload)
     try:
-        payload = open(payload_path, "rb", buffering=0)
+        scanned = os.stat(payload_path)
     except OSError as exc:
         raise IoError(f"cannot read payload {payload_path}: {exc}") from exc
-    with payload, BoxImage.open(args.image) as image:
+    if not stat.S_ISREG(scanned.st_mode):
+        raise IoError(f"cannot read payload {payload_path}: not a regular file")
+    pieces = _pieces_of(payload_path, Path(os.path.realpath(payload_path)), scanned)
+    with BoxImage.open(args.image) as image:
         partition_id = image.add_partition(
-            _pieces_of(payload, payload_path),
+            pieces,
             datatype=args.datatype,
             fstype=args.partfs,
             parttype=args.parttype,
@@ -313,11 +346,13 @@ def _cmd_add(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pieces_of(payload: IO[bytes], payload_path: Path) -> Iterator[bytes]:
-    """payload's CHUNK_BYTES reads, so that it is read as it is written; a
-    failed read names the payload, not the image being rewritten."""
+def _pieces_of(payload_path: Path, resolved: Path, scanned: os.stat_result) -> Iterator[bytes]:
+    """The pieces of resolved, the file payload_path names, read as they are
+    written, with a scanned file's checks: FileChanged unless it is still the
+    file scanned describes, of that size, ending there. A failed read names
+    the payload, not the image being rewritten."""
     try:
-        yield from iter(partial(payload.read, CHUNK_BYTES), b"")
+        yield from _read_scanned(resolved, scanned)
     except OSError as exc:
         raise IoError(f"cannot read payload {payload_path}: {exc}") from exc
 

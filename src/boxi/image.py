@@ -29,17 +29,20 @@ Descriptor, 160 bytes each, one per partition:
     100     32    SHA-256 of the payload bytes
     132     28    reserved, zero
 
-Opening an image reads only the header and the descriptor table, which it
-finds at the table offset; the extents are checked against the file size.
-A FIFO is rejected before anything is read from it.
+Opening an image reads only the header and the descriptor table, each
+with one read of its exact extent; the extents are checked against the
+file size. A FIFO is rejected before anything is read from it.
+A handle reads the file it opened: it keeps that file's descriptor, and
+every later read goes through it by offset, so a handle whose path another
+file is renamed over still reads the image it opened.
 A payload is read, and its checksum verified, only when it is dumped whole,
 streamed, or carried forward by a change. One reader does all three: it
 reads exactly a payload's extent, in chunks of at most CHUNK_BYTES into
 one reused buffer, hashes each, and raises CorruptPartition after the last
 chunk if the digest differs, so no streamed payload is held whole and only
 one read to its end has been checked; a dump joins the chunks. raw_payload
-hands out a payload's unverified bytes for a header-only pass that its
-stream verifies afterwards.
+hands out the descriptor and a payload's extent for a header-only pass
+that its stream verifies afterwards.
 
 An image file is written whole or not at all, by one writer, _commit. It
 takes one source per partition: new bytes, consecutive byte pieces (such as
@@ -57,6 +60,11 @@ the new. Writeback of the temp file starts every WRITEBACK_BYTES (libc's
 sync_file_range where there is one, a hint whose result is not checked),
 so the fsync waits only for the last window. A payload that a change
 replaces or drops is never read.
+
+The file a commit wrote becomes its handle's file. The descriptor of the
+file it replaced is closed in a background thread, so that freeing a
+renamed-over file's blocks, which that close does when no other descriptor
+holds it, runs beside the caller.
 """
 
 from __future__ import annotations
@@ -68,8 +76,10 @@ import os
 import stat
 import struct
 import tempfile
+import threading
 import time
 import uuid as uuidlib
+import weakref
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -294,44 +304,78 @@ class _WritingBack:
         return self._start
 
 
-def _open_nonblocking(path: str, flags: int) -> int:
-    """Open without waiting for a FIFO's other end, so that it can be rejected."""
-    return os.open(path, flags | os.O_NONBLOCK)
-
-
 def _open_new(path: Path) -> int | None:
-    """Open path for writing if nothing is at it; None if something is."""
+    """Open path for reading and writing if nothing is at it; None if something is."""
     with suppress(FileExistsError):
-        return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        return os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
     return None
 
 
 @contextmanager
-def _removed_on_failure(path: Path | str) -> Iterator[None]:
-    """Remove the file begun at path if the block raises."""
+def _closed_on_failure(fd: int, begun: Path | str | None = None) -> Iterator[None]:
+    """Close fd, and remove the file begun at that path, if the block raises."""
     try:
         yield
     except BaseException:
-        with suppress(OSError):
-            os.unlink(path)
+        os.close(fd)
+        if begun is not None:
+            with suppress(OSError):
+                os.unlink(begun)
         raise
+
+
+# The release in flight, if any; see _release.
+_releasing: threading.Thread | None = None
+_release_lock = threading.Lock()
+
+
+def _close_released(fd: int) -> None:
+    """Close a replaced file's descriptor. That file was fsynced before it
+    was renamed over, or never written, so an error here loses nothing."""
+    with suppress(OSError):
+        os.close(fd)
+
+
+def _release(fd: int) -> None:
+    """Close fd in a background thread, so that freeing the blocks of the
+    renamed-over file it holds runs beside the caller. The release before
+    it is joined first, so at most one is in flight; the thread is not a
+    daemon, so the process waits for it at exit."""
+    global _releasing
+    with _release_lock:
+        _join_release()
+        _releasing = threading.Thread(target=_close_released, args=(fd,),
+                                      name="boxi-release", daemon=False)
+        _releasing.start()
+
+
+def _join_release() -> None:
+    """Wait until the release in flight, if any, has closed its descriptor."""
+    if _releasing is not None:
+        _releasing.join()
 
 
 class BoxImage:
     """Handle to one image file.
 
-    No file descriptor is kept between operations; every read and write
-    opens the backing file afresh, so dumps always reflect on-disk bytes.
+    A handle reads the file it opened: it keeps that file's descriptor, and
+    every read goes through it, so dumps reflect that file's bytes on disk.
+    A change makes the file it wrote the handle's file. close() closes the
+    descriptor, and so does dropping the handle.
     """
 
     def __init__(self, path: Path, image_uuid: uuidlib.UUID, created_at: int,
-                 modified_at: int, partitions: list[PartitionDescriptor]):
+                 modified_at: int, partitions: list[PartitionDescriptor],
+                 fd: int | None = None):
         self.path = path
         self.uuid = image_uuid
         self.created_at = created_at
         self.modified_at = modified_at
         self._partitions = partitions
-        self._closed = False
+        self._fd: int | None = None
+        self._closer: weakref.finalize | None = None
+        if fd is not None:
+            self._adopt(fd)
 
     # --- construction ---------------------------------------------------
 
@@ -366,28 +410,37 @@ class BoxImage:
         """
         path = Path(path)
         try:
-            with open(path, "rb", opener=_open_nonblocking) as fh:
-                info = os.fstat(fh.fileno())
-                if stat.S_ISFIFO(info.st_mode):
-                    raise NotABoxImage(f"{path}: a FIFO, not an image file")
-                file_size = info.st_size
-                header = fh.read(HEADER_SIZE)
-                if len(header) < len(MAGIC):
-                    raise TruncatedImage(f"{path}: shorter than the magic")
-                if header[: len(MAGIC)] != MAGIC:
-                    raise NotABoxImage(f"{path}: bad magic {header[:4]!r}")
-                if len(header) < HEADER_SIZE:
-                    raise TruncatedImage(f"{path}: header cut short")
-                (_, version, raw_uuid, created, modified, count, table_offset,
-                 payload_offset) = _HEADER.unpack(header)
-                if version != FORMAT_VERSION:
-                    raise NotABoxImage(f"{path}: unsupported format version {version}")
-                if payload_offset != HEADER_SIZE or table_offset < HEADER_SIZE:
-                    raise NotABoxImage(f"{path}: implausible area offsets")
-                if table_offset + count * DESCRIPTOR_SIZE > file_size:
-                    raise TruncatedImage(f"{path}: descriptor table runs past the end")
-                fh.seek(table_offset)
-                table = fh.read(count * DESCRIPTOR_SIZE)
+            fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO's writer is not waited for
+        except OSError as exc:
+            raise IoError(f"cannot read image at {path}: {exc}") from exc
+        with _closed_on_failure(fd):
+            return cls._read_table(path, fd)
+
+    @classmethod
+    def _read_table(cls, path: Path, fd: int) -> "BoxImage":
+        """A handle on fd, from its header and descriptor table, each read
+        at its exact extent and checked."""
+        try:
+            info = os.fstat(fd)
+            if stat.S_ISFIFO(info.st_mode):
+                raise NotABoxImage(f"{path}: a FIFO, not an image file")
+            file_size = info.st_size
+            header = os.pread(fd, HEADER_SIZE, 0)
+            if len(header) < len(MAGIC):
+                raise TruncatedImage(f"{path}: shorter than the magic")
+            if header[: len(MAGIC)] != MAGIC:
+                raise NotABoxImage(f"{path}: bad magic {header[:4]!r}")
+            if len(header) < HEADER_SIZE:
+                raise TruncatedImage(f"{path}: header cut short")
+            (_, version, raw_uuid, created, modified, count, table_offset,
+             payload_offset) = _HEADER.unpack(header)
+            if version != FORMAT_VERSION:
+                raise NotABoxImage(f"{path}: unsupported format version {version}")
+            if payload_offset != HEADER_SIZE or table_offset < HEADER_SIZE:
+                raise NotABoxImage(f"{path}: implausible area offsets")
+            if table_offset + count * DESCRIPTOR_SIZE > file_size:
+                raise TruncatedImage(f"{path}: descriptor table runs past the end")
+            table = os.pread(fd, count * DESCRIPTOR_SIZE, table_offset)
         except OSError as exc:
             raise IoError(f"cannot read image at {path}: {exc}") from exc
         if len(table) != count * DESCRIPTOR_SIZE:
@@ -423,7 +476,7 @@ class BoxImage:
             if start_b < end_a:
                 raise NotABoxImage(f"{path}: overlapping partition extents")
 
-        return cls(path, uuidlib.UUID(bytes=raw_uuid), created, modified, partitions)
+        return cls(path, uuidlib.UUID(bytes=raw_uuid), created, modified, partitions, fd)
 
     # --- queries ----------------------------------------------------------
 
@@ -467,25 +520,22 @@ class BoxImage:
         """Read a payload back from disk in chunks of at most CHUNK_BYTES.
 
         Each chunk is a view into one reused buffer, valid only until the
-        next is read. The file is opened at the first read. After the last
-        chunk the checksum is verified, and a mismatch raises
-        CorruptPartition, so the payload is checked only once the stream
-        has been read to its end.
+        next is read. After the last chunk the checksum is verified, and a
+        mismatch raises CorruptPartition, so the payload is checked only
+        once the stream has been read to its end.
         """
         self._ensure_open()
         return self._stream(self.descriptor(partition_id))
 
     @contextmanager
-    def raw_payload(self, partition_id: int) -> Iterator[tuple[BinaryIO, int]]:
-        """The image file, unbuffered, at the first byte of a payload, and
-        the payload's size. Nothing read through it is verified; the
+    def raw_payload(self, partition_id: int) -> Iterator[tuple[int, int, int]]:
+        """The handle's file descriptor, for reads by offset, and a payload's
+        offset and size in it. Nothing read through it is verified; the
         payload's stream_partition is."""
         self._ensure_open()
         part = self.descriptor(partition_id)
         try:
-            with open(self.path, "rb", buffering=0) as fh:
-                fh.seek(part.payload_offset)
-                yield fh, part.payload_size
+            yield self._fd, part.payload_offset, part.payload_size
         except OSError as exc:
             raise IoError(f"cannot read {self.path}: {exc}") from exc
 
@@ -531,9 +581,16 @@ class BoxImage:
         NoFreePartitionId, before anything is written, when there is none."""
         return self._with_metadata()[1]
 
+    def fileno(self) -> int:
+        """The descriptor of the file the handle reads."""
+        self._ensure_open()
+        return self._fd
+
     def close(self) -> None:
-        """Invalidate the handle. Every change is already on disk."""
-        self._closed = True
+        """Close the file the handle reads. Every change is already on disk."""
+        if self._closer is not None:
+            self._closer()
+        self._fd = None
 
     def __enter__(self) -> "BoxImage":
         return self
@@ -544,8 +601,15 @@ class BoxImage:
     # --- internals -----------------------------------------------------------
 
     def _ensure_open(self) -> None:
-        if self._closed:
+        if self._fd is None:
             raise IoError(f"{self.name}: image handle is closed")
+
+    def _adopt(self, fd: int) -> None:
+        """Make fd the file the handle reads, closed when the handle is
+        closed or dropped; the one it replaces is released in the background."""
+        if self._closer is not None and self._closer.detach() is not None:
+            _release(self._fd)
+        self._fd, self._closer = fd, weakref.finalize(self, os.close, fd)
 
     def _with_metadata(self) -> tuple[list[PartitionDescriptor], int]:
         """The partitions of a commit that stores a single metadata partition,
@@ -598,23 +662,24 @@ class BoxImage:
         return placed
 
     def _stream(self, part: PartitionDescriptor) -> Iterator[memoryview]:
-        """The one chunk reader: a payload in this image's file, in reads of
-        at most CHUNK_BYTES into one reused buffer, each chunk hashed; after
-        the last, a digest that differs raises CorruptPartition."""
+        """The one chunk reader: a payload in the handle's file, read by
+        offset in reads of at most CHUNK_BYTES into one reused buffer, each
+        chunk hashed; after the last, a digest that differs raises
+        CorruptPartition."""
+        self._ensure_open()
+        fd = self._fd
         buffer = memoryview(bytearray(min(part.payload_size, CHUNK_BYTES)))
         digest = hashlib.sha256()
-        left = part.payload_size
+        at, end = part.payload_offset, part.payload_offset + part.payload_size
         try:
-            with open(self.path, "rb", buffering=0) as fh:
-                fh.seek(part.payload_offset)
-                while left:
-                    got = fh.readinto(buffer[:left])
-                    if not got:
-                        raise TruncatedImage(
-                            f"{self.name}: partition {part.partition_id} cut short")
-                    digest.update(buffer[:got])
-                    left -= got
-                    yield buffer[:got]
+            while at < end:
+                got = os.preadv(fd, [buffer[:end - at]], at)
+                if not got:
+                    raise TruncatedImage(
+                        f"{self.name}: partition {part.partition_id} cut short")
+                digest.update(buffer[:got])
+                at += got
+                yield buffer[:got]
         except OSError as exc:
             raise IoError(f"cannot read {self.path}: {exc}") from exc
         if digest.digest() != part.checksum:
@@ -636,7 +701,9 @@ class BoxImage:
         A create writes a path with nothing at it, or a dangling link's
         destination, in place; anything else is a temp file renamed over the
         resolved target (see the module docstring). The handle takes the new
-        state only once the file is in place.
+        state, and the file written as the file it reads, only once that
+        file is in place; the file it read before is released in the
+        background.
         """
         modified_at = self.modified_at if create else max(int(time.time()), self.modified_at)
         payloads = {pid: source(modified_at) if callable(source) else source
@@ -648,15 +715,15 @@ class BoxImage:
             if fd is None and create:  # a dangling link, whose destination may be free
                 fd = _open_new(target)
             if fd is not None:  # a new file, with nothing to lose: written in place
-                with _removed_on_failure(target), open(fd, "wb") as fh:
+                with _closed_on_failure(fd, target), open(fd, "wb", closefd=False) as fh:
                     placed = self._write(fh, modified_at, partitions, payloads)
             else:
                 mode = os.stat(target).st_mode
                 if not stat.S_ISREG(mode):
                     raise IoError(f"{failure}: not a regular file")
                 fd, temp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
-                with _removed_on_failure(temp_name):
-                    with open(fd, "wb") as fh:
+                with _closed_on_failure(fd, temp_name):
+                    with open(fd, "wb", closefd=False) as fh:
                         os.fchmod(fd, stat.S_IMODE(mode))
                         writer = fh if _sync_file_range is None else _WritingBack(
                             fh, _sync_file_range)
@@ -666,5 +733,6 @@ class BoxImage:
                     os.replace(temp_name, target)
         except OSError as exc:
             raise IoError(f"{failure}: {exc}") from exc
+        self._adopt(fd)
         self._partitions = placed
         self.modified_at = modified_at

@@ -612,8 +612,8 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
             kept = archive.graft(image.stream_partition(step.partition_id), step.inner, [])
             if step.src in spliced:
                 source, pid = spliced[step.src]
-                with source.raw_payload(pid) as (fh, size):
-                    tree = archive.splice(fh, size, source.stream_partition(pid))
+                with source.raw_payload(pid) as (fd, offset, size):
+                    tree = archive.splice(fd, offset, size, source.stream_partition(pid))
             else:
                 tree = archive.scan_dir(run_dir / step.src)
             pieces = archive.encode_pieces(archive.graft(kept, step.inner, tree))

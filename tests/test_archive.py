@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import io
 import os
 import stat
 import struct
+import tempfile
 import tracemalloc
 import uuid
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,16 @@ def blob_for(*items: tuple[str, int, bytes]) -> bytes:
         out.append(struct.pack("<IQ", mode, len(content)))
         out.append(content)
     return b"".join(out)
+
+
+@contextmanager
+def in_a_file(blob: bytes):
+    """A descriptor of a file holding blob between other bytes, and the
+    blob's offset and size in it, as BoxImage.raw_payload gives them."""
+    with tempfile.TemporaryFile() as fh:
+        fh.write(b"head" + blob + b"tail")
+        fh.flush()
+        yield fh.fileno(), 4, len(blob)
 
 
 def chunked(blob: bytes, size: int):
@@ -515,7 +526,8 @@ def test_a_malformed_blob_fails_alike_whole_and_in_chunks(case, tmp_path):
         dest = tmp_path / f"chunks-{size}" / "out"  # its parent is made, and removed
         assert _error(extract_dir, chunked(blob, size), dest) == whole
         assert list(tmp_path.glob(f"chunks-{size}")) == []
-    assert _error(splice, io.BytesIO(blob), len(blob), chunked(blob, 5)) == whole
+    with in_a_file(blob) as extent:
+        assert _error(splice, *extent, chunked(blob, 5)) == whole
 
 
 @given(tree=_trees, inner=_inner_paths, subtree=_trees, size=st.sampled_from([1, 5, 4096]))
@@ -530,7 +542,8 @@ def test_the_walk_agrees_whole_and_in_chunks(tree, inner, subtree, size):
 @given(tree=_trees, inner=_inner_paths, size=st.sampled_from([1, 5, 4096]))
 def test_a_splice_encodes_as_the_decoded_tree(tree, inner, size):
     blob = encode_entries(_tree_entries(tree, dir_mode=0o40750))
-    spliced = splice(io.BytesIO(blob), len(blob), chunked(blob, size))
+    with in_a_file(blob) as extent:
+        spliced = splice(*extent, chunked(blob, size))
     assert [(e.path, e.mode, len(e.content or b"")) for e in spliced] == [
         (e.path, e.mode, len(e.content or b"")) for e in decode(blob)]
     assert (encode_entries(graft([], inner, spliced))
@@ -541,7 +554,8 @@ def test_a_splice_fails_when_its_stream_differs_from_its_headers():
     read_ahead = blob_for(("a.txt", FILE, b"one"), ("b", DIR, b""))
     for streamed in (blob_for(("a.txt", FILE, b"two"), ("c", DIR, b"")),   # another header
                      blob_for(("a.txt", FILE, b"one"))):                   # one header fewer
-        spliced = splice(io.BytesIO(read_ahead), len(read_ahead), chunked(streamed, 5))
+        with in_a_file(read_ahead) as extent:
+            spliced = splice(*extent, chunked(streamed, 5))
         with pytest.raises(MalformedArchive, match="changed after its headers were read"):
             encode_entries(spliced)
 
@@ -554,7 +568,8 @@ def test_a_splice_reads_its_stream_only_as_it_is_encoded():
         for chunk in chunked(blob, 4):
             reads.append(len(chunk))
             yield chunk
-    spliced = splice(io.BytesIO(blob), len(blob), stream())
+    with in_a_file(blob) as extent:
+        spliced = splice(*extent, stream())
     assert reads == []
     assert encode_entries(spliced) == blob
     assert sum(reads) == len(blob)  # read to its end, past the last file

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import errno
-import io
 import itertools
 import json
 import os
@@ -29,6 +28,7 @@ from boxi.image import (
     DATA_JSON,
     DATA_PARTITION,
     FS_ARCHIVE_RO,
+    PART_DATA,
     PART_METADATA,
     PART_SYSTEM_PRIMARY,
     BoxImage,
@@ -39,7 +39,7 @@ from boxi.packager import SoftwareManifest, pack_data_dir
 from boxi.provenance import canonical_json, read_trail
 from boxi.runtime import load_workflow, run_workflow
 
-from .conftest import FILE_CHANGES
+from .conftest import FILE_CHANGES, _grow
 from .oracles import mask_trail, read_descriptors, read_header
 from .test_image import _raise_oserror, _WriteFaults
 
@@ -472,26 +472,26 @@ def test_add_streams_its_payload_file(tmp_path, capsys):
     assert BoxImage.open(image).dump_partition(2) == payload.read_bytes()
 
 
-class _FailingAfterOneChunk(io.FileIO):
-    """A payload file whose reads fail once its first chunk is read."""
-
-    def read(self, size: int = -1) -> bytes:
-        if self.tell():
-            raise OSError(errno.EIO, os.strerror(errno.EIO))
-        return super().read(size)
-
-
 def test_add_names_a_payload_whose_read_fails_partway(tmp_path, monkeypatch, capsys):
     image = tmp_path / "out.boxi"
     main(["new-output", "Outputs", str(image)])
     before = image.read_bytes()
     payload = tmp_path / "big.bin"
     payload.write_bytes(b"p" * (2 * CHUNK_BYTES))
-    monkeypatch.setattr(cli, "open", lambda path, *_, **__: _FailingAfterOneChunk(path),
-                        raising=False)
+    read, reads = os.read, []
+
+    def failing_after_one_chunk(fd, size):  # the payload is the only file read this way
+        reads.append(size)
+        if len(reads) > 1:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return read(fd, size)
+
+    monkeypatch.setattr(os, "read", failing_after_one_chunk)
     capsys.readouterr()
     assert main(["add", str(image), str(payload), "--datatype", "4", "--partfs", "2",
                  "--parttype", "3", "--partarch", "2"]) == errors.IoError.exit_code
+    monkeypatch.undo()
+    assert reads == [CHUNK_BYTES, CHUNK_BYTES]
     assert capsys.readouterr().err == (
         f"boxi: cannot read payload {payload}: [Errno 5] {os.strerror(errno.EIO)}\n")
     assert image.read_bytes() == before
@@ -721,6 +721,173 @@ def test_dump_checksum_failure_exits_4(tmp_path, capsys):
         fh.seek(record["offset"])
         fh.write(b"Z")
     assert main(["dump", str(image), "1", "-"]) == 4
+
+
+def _image_holding(tmp_path: Path, payload: bytes, name: str = "data") -> Path:
+    """An image whose partition 1 holds payload."""
+    image = tmp_path / f"{name}.boxi"
+    BoxImage.create(name, image, [NewPartition(
+        payload, datatype=DATA_PARTITION, fstype=FS_ARCHIVE_RO, parttype=PART_DATA,
+        arch=ARCH_ANY, name=name)]).close()
+    return image
+
+
+def test_a_dump_to_a_file_streams_it(tmp_path, capsys):
+    payload = bytes(range(256)) * (16 << 12)  # 16 MiB
+    image = _image_holding(tmp_path, payload)
+    dest = tmp_path / "payload.bin"
+    tracemalloc.start()
+    try:
+        status = main(["dump", str(image), "1", str(dest)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0, capsys.readouterr().err
+    assert peak < 2 * CHUNK_BYTES  # a chunk, never the 16 MiB
+    assert dest.read_bytes() == payload
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.boxi", "payload.bin"]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-file", "over-a-file"])
+def test_a_failed_dump_to_a_file_leaves_it_as_it_was(tmp_path, capsys, existing):
+    payload = b"p" * (3 * CHUNK_BYTES)  # whole chunks are written before the last fails
+    image = _image_holding(tmp_path, payload)
+    (record,) = read_descriptors(image)
+    with open(image, "r+b") as fh:
+        fh.seek(record["offset"] + len(payload) - 1)
+        fh.write(b"Z")
+    dest = tmp_path / "payload.bin"
+    if existing:
+        dest.write_bytes(b"what was there")
+    assert main(["dump", str(image), "1", str(dest)]) == errors.CorruptPartition.exit_code
+    assert "fails its checksum" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["data.boxi", "payload.bin"] if existing else ["data.boxi"])
+    if existing:
+        assert dest.read_bytes() == b"what was there"
+
+
+def test_a_dump_to_a_file_keeps_what_the_file_it_replaces_had(tmp_path, capsys):
+    image = _image_holding(tmp_path, b"payload")
+    kept, link, fresh = tmp_path / "kept.bin", tmp_path / "link.bin", tmp_path / "fresh.bin"
+    kept.write_bytes(b"old")
+    kept.chmod(0o604)
+    link.symlink_to("kept.bin")
+    assert main(["dump", str(image), "1", str(link)]) == 0
+    umask = os.umask(0o027)
+    try:
+        assert main(["dump", str(image), "1", str(fresh)]) == 0
+    finally:
+        os.umask(umask)
+    assert link.is_symlink() and kept.read_bytes() == b"payload"
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o640  # a new file's, under the umask
+    assert main(["dump", str(image), "1", os.devnull]) == 0  # not a file: written in place
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "data.boxi", "fresh.bin", "kept.bin", "link.bin"]
+
+
+def test_inspect_reports_the_size_of_the_file_it_read(tmp_path, capsys, monkeypatch):
+    image = _image_holding(tmp_path, b"x" * 1000)
+    other = _image_holding(tmp_path, b"", name="other")
+    real_open = BoxImage.open
+
+    def open_then_replace(path):
+        handle = real_open(path)
+        os.replace(other, image)
+        return handle
+
+    monkeypatch.setattr(BoxImage, "open", open_then_replace)
+    assert main(["inspect", str(image)]) == 0
+    assert f"size      {60 + 1000 + 160} bytes" in capsys.readouterr().out.splitlines()
+
+
+def _add_argv(image: Path, payload: Path | str) -> list[str]:
+    return ["add", str(image), str(payload), "--datatype", "4", "--partfs", "2",
+            "--parttype", "3", "--partarch", "2"]
+
+
+def _adding_with(monkeypatch, change_pieces) -> None:
+    """Make add_partition take the payload's pieces through change_pieces."""
+    real_add = BoxImage.add_partition
+    monkeypatch.setattr(BoxImage, "add_partition", lambda self, pieces, **codes: real_add(
+        self, change_pieces(pieces), **codes))
+
+
+@pytest.mark.parametrize("change", sorted(FILE_CHANGES))
+def test_add_refuses_a_payload_that_changes_before_it_is_read(tmp_path, monkeypatch, capsys,
+                                                             change):
+    image = _image_holding(tmp_path, b"old")
+    before = image.read_bytes()
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(b"p" * 1000)
+
+    def change_then_read(pieces):
+        FILE_CHANGES[change](payload)
+        yield from pieces
+
+    _adding_with(monkeypatch, change_then_read)
+    capsys.readouterr()
+    assert main(_add_argv(image, payload)) == errors.FileChanged.exit_code
+    assert str(payload) in capsys.readouterr().err
+    assert image.read_bytes() == before
+    assert list(tmp_path.glob(".data.boxi.*")) == []
+
+
+@pytest.mark.parametrize("change", ["grows", "shrinks"])
+def test_add_refuses_a_payload_that_changes_while_it_is_read(tmp_path, monkeypatch, capsys,
+                                                            change):
+    image = _image_holding(tmp_path, b"old")
+    before = image.read_bytes()
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(b"p" * (2 * CHUNK_BYTES))
+
+    def change_after_one_piece(pieces):
+        pieces = iter(pieces)
+        yield next(pieces)
+        _grow(payload) if change == "grows" else os.truncate(payload, CHUNK_BYTES)
+        yield from pieces
+
+    _adding_with(monkeypatch, change_after_one_piece)
+    capsys.readouterr()
+    assert main(_add_argv(image, payload)) == errors.FileChanged.exit_code
+    assert capsys.readouterr().err == f"boxi: {payload} changed while it was read\n"
+    assert image.read_bytes() == before
+    assert list(tmp_path.glob(".data.boxi.*")) == []
+
+
+def test_add_refuses_a_payload_that_is_not_a_regular_file(tmp_path, capsys):
+    image = _image_holding(tmp_path, b"old")
+    before = image.read_bytes()
+    assert main(_add_argv(image, os.devnull)) == errors.IoError.exit_code
+    assert capsys.readouterr().err == (
+        f"boxi: cannot read payload {os.devnull}: not a regular file\n")
+    assert image.read_bytes() == before
+    link = tmp_path / "link.bin"  # a link to a regular file is read through
+    (tmp_path / "p.bin").write_bytes(b"payload")
+    link.symlink_to("p.bin")
+    assert main(_add_argv(image, link)) == 0
+    assert BoxImage.open(image).dump_partition(2) == b"payload"
+
+
+def test_runs_transfers_and_commands_leave_no_descriptor_open(workbench, capsys):
+    flow = identity_workflow(workbench)
+    root = workbench.root
+    payload = root / "p.json"
+    payload.write_bytes(b"{}")
+    output = str(root / "output.boxi")
+    image_mod._join_release()
+    before = sorted(os.listdir("/proc/self/fd"))
+    run_workflow(load_workflow(flow), trail=True)
+    runtime.zero_copy_transfer(root / "input.boxi", 1, output, "/Moved")
+    runtime.two_copy_transfer(root / "input.boxi", 1, output, "/Staged")
+    for argv in ([PACK, str(root / "tree-input" / "Inputs"), str(root / "packed.boxi")],
+                 _add_argv(Path(output), payload), ["del", output, "3"],
+                 ["dump", output, "1", str(root / "dumped.bin")], ["inspect", output]):
+        assert main(argv) == 0, capsys.readouterr().err
+    image_mod._join_release()
+    assert len(os.listdir("/proc/self/fd")) == len(before), (
+        before, sorted(os.listdir("/proc/self/fd")))
 
 
 def image_with_corrupt_output(tmp_path, capsys):

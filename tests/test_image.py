@@ -11,6 +11,7 @@ import shutil
 import stat
 import struct
 import tempfile
+import threading
 import time
 import uuid as uuidlib
 
@@ -640,6 +641,84 @@ def test_context_manager_closes(tmp_path):
         img.dump_partition(1)
 
 
+def _is_open(fd: int) -> bool:
+    try:
+        os.fstat(fd)
+    except OSError as exc:
+        assert exc.errno == errno.EBADF
+        return False
+    return True
+
+
+def test_a_handle_reads_the_file_it_opened_after_its_path_is_replaced(tmp_path, monkeypatch):
+    a = BoxImage.create("a", tmp_path / "a.boxi", [NewPartition(b"alpha", name="d", **DATA_CODES)])
+    b = BoxImage.create("b", tmp_path / "b.boxi", [NewPartition(b"bravo", name="d", **DATA_CODES)])
+    handle = BoxImage.open(a.path)
+    os.replace(b.path, a.path)  # the same extents, other bytes
+    with monkeypatch.context() as patch:  # and no read opens the path again
+        patch.setattr(image_mod.os, "open", _raise_oserror)
+        patch.setattr(image_mod, "open", _raise_oserror, raising=False)
+        assert b"".join(handle.stream_partition(1)) == b"alpha"
+        assert handle.dump_partition(1) == b"alpha"
+        with handle.raw_payload(1) as (fd, offset, size):
+            assert os.pread(fd, size, offset) == b"alpha"
+    assert BoxImage.open(a.path).dump_partition(1) == b"bravo"
+
+
+def test_a_handle_reads_the_file_its_last_change_wrote(tmp_path):
+    img = BoxImage.create("img", tmp_path / "img.boxi", [NewPartition(b"one", name="d", **DATA_CODES)])
+    created = img.fileno()
+    assert os.fstat(created).st_ino == img.path.stat().st_ino
+    img.update_partition(1, b"two")
+    image_mod._join_release()
+    assert not _is_open(created)
+    assert os.fstat(img.fileno()).st_ino == img.path.stat().st_ino
+    os.replace(BoxImage.create("other", tmp_path / "other.boxi").path, img.path)
+    assert img.dump_partition(1) == b"two"
+
+
+def test_a_change_returns_while_the_file_it_replaced_is_released(tmp_path, monkeypatch):
+    img = BoxImage.create("img", tmp_path / "img.boxi", [NewPartition(b"0", name="d", **DATA_CODES)])
+    let_go = threading.Event()
+    real_close = image_mod._close_released
+
+    def held_close(fd):
+        let_go.wait(timeout=60)
+        real_close(fd)
+
+    monkeypatch.setattr(image_mod, "_close_released", held_close)
+    first = img.fileno()
+    second = threading.Thread(target=img.update_partition, args=(1, b"2"))
+    try:
+        img.update_partition(1, b"1")  # returns with its release held
+        releasing = image_mod._releasing
+        assert releasing.is_alive() and not releasing.daemon
+        assert _is_open(first) and img.fileno() != first
+        assert img.dump_partition(1) == b"1"
+        second.start()
+        second.join(timeout=0.5)
+        assert second.is_alive()  # its release waits for the one before it
+    finally:
+        let_go.set()
+    second.join(timeout=60)
+    assert not second.is_alive()
+    image_mod._join_release()
+    assert not _is_open(first)
+    assert BoxImage.open(img.path).dump_partition(1) == b"2"
+
+
+def test_closing_or_dropping_a_handle_closes_its_file(tmp_path):
+    path = make_image(tmp_path).path
+    img = BoxImage.open(path)
+    fd = img.fileno()
+    img.close()
+    assert not _is_open(fd)
+    img = BoxImage.open(path)
+    fd = img.fileno()
+    del img
+    assert not _is_open(fd)
+
+
 def test_flipped_payload_byte_fails_checksum(tmp_path):
     img = make_image(tmp_path)
     pid = img.add_partition(b"sensitive", name="s", **DATA_CODES)
@@ -653,22 +732,15 @@ def test_flipped_payload_byte_fails_checksum(tmp_path):
         img.dump_partition(pid)
 
 
-class _ReadCounter(_WrappedFile):
-    """A file the image module opened, counting the bytes read through it."""
-
-    def __init__(self, fh, counts):
-        super().__init__(fh)
-        self._counts = counts
-
-    def read(self, *args):
-        data = self._fh.read(*args)
-        self._counts.append(len(data))
-        return data
-
-    def readinto(self, buffer):
-        got = self._fh.readinto(buffer)
-        self._counts.append(got)
-        return got
+def _count_reads(monkeypatch, counts: list[int]) -> None:
+    """Append to counts the bytes of each read by position, the only way
+    the image module reads a file."""
+    for name in ("pread", "preadv"):
+        def counted(fd, *args, _read=getattr(os, name)):
+            got = _read(fd, *args)
+            counts.append(got if isinstance(got, int) else len(got))
+            return got
+        monkeypatch.setattr(image_mod.os, name, counted)
 
 
 KEPT_BYTES = 4 * image_mod.CHUNK_BYTES + 1
@@ -690,8 +762,7 @@ def test_a_change_copies_a_kept_payload_in_bounded_reads(tmp_path, monkeypatch, 
         NewPartition(kept, name="kept", **DATA_CODES),
         NewPartition(b"old payload", name="other", **codes)])
     counts: list[int] = []
-    monkeypatch.setattr(image_mod, "open", lambda *args, **kwargs: _ReadCounter(
-        open(*args, **kwargs), counts), raising=False)
+    _count_reads(monkeypatch, counts)
     BESIDE_A_KEPT_PARTITION[change](img)
     monkeypatch.undo()
     # Kept payloads are read in chunks, and nothing else is read: not the
@@ -726,11 +797,10 @@ def test_open_reads_only_the_header_and_the_table(tmp_path, monkeypatch, count):
             fh.seek(img.partitions[-1].payload_offset)
             fh.write(b"\xff")
     counts: list[int] = []
-    monkeypatch.setattr(image_mod, "open", lambda *args, **kwargs: _ReadCounter(
-        open(*args, **kwargs), counts), raising=False)
+    _count_reads(monkeypatch, counts)
     reopened = BoxImage.open(img.path)
     monkeypatch.undo()
-    assert HEADER_SIZE <= sum(counts) <= HEADER_SIZE + count * DESCRIPTOR_SIZE
+    assert sum(counts) == HEADER_SIZE + count * DESCRIPTOR_SIZE
     assert reopened.partitions == img.partitions
     for part, payload in zip(reopened.partitions[:-1], payloads):
         assert reopened.dump_partition(part.partition_id) == payload
