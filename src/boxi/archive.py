@@ -483,30 +483,23 @@ def with_parents(entries: list[ArchiveEntry],
     return [*entries, *added]
 
 
-def graft(base: list[ArchiveEntry] | Chunk | Iterable[Chunk], inner: str,
+def graft(base: Chunk | Iterable[Chunk], inner: str,
           subtree: list[ArchiveEntry]) -> list[ArchiveEntry]:
-    """The entries of base, a list of entries or a blob, whole or as an
-    iterator of its chunks, with everything below inner ("" is the root)
-    replaced by subtree, re-rooted there.
+    """The entries of base, a blob, whole or as an iterator of its chunks,
+    with everything below inner ("" is the root) replaced by subtree,
+    re-rooted there.
 
-    Every entry of a blob is verified, but nothing below inner is copied,
-    and only the kept contents are held, so a caller can drop the blob
-    before it builds subtree: graft(graft(blob, inner, []), inner, subtree).
-    An inner directory keeps its mode; a missing inner path or parent, or a
-    file in its place, becomes a with_parents directory.
+    Every entry of the blob is verified, but nothing below inner is copied
+    and only the kept contents are held, so a streamed blob is never held
+    whole. An inner directory keeps its mode; a missing inner path or
+    parent, or a file in its place, becomes a with_parents directory.
     """
     prefix = f"{inner}/" if inner else ""
     spots = {entry.path for entry in with_parents([], [inner])}
-
-    def kept(path: str, mode: int) -> bool:
-        return not path.startswith(prefix) and (stat.S_ISDIR(mode) or path not in spots)
-
-    if isinstance(base, list):
-        entries = [entry for entry in base if kept(entry.path, entry.mode)]
-    else:
-        src = _stream(base)
-        entries = [ArchiveEntry(path, mode, None if stat.S_ISDIR(mode) else bytes(src.read(size)))
-                   for path, mode, size in _entries(src) if kept(path, mode)]
+    src = _stream(base)
+    entries = [ArchiveEntry(path, mode, None if stat.S_ISDIR(mode) else bytes(src.read(size)))
+               for path, mode, size in _entries(src)
+               if not path.startswith(prefix) and (stat.S_ISDIR(mode) or path not in spots)]
     entries.extend(ArchiveEntry(prefix + entry.path, entry.mode, entry.content)
                    for entry in subtree)
     return with_parents(entries, [inner])

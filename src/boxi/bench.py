@@ -17,6 +17,7 @@ a rerun reproduces identical trees, copy counts, and sizes (times vary).
 
 from __future__ import annotations
 
+import os
 import random
 import statistics
 import subprocess
@@ -161,7 +162,8 @@ def bench_space(spec: WorkflowSpec) -> SpaceOverheadReport:
     Original bytes count the file contents for archive partitions and
     the raw payload for anything else, so the delta is exactly the format
     framing: header, descriptors, and archive entry headers. Every payload
-    is streamed through its checksum, so none is held whole.
+    is streamed through its checksum, so none is held whole, and the size
+    is that of the file the payloads were read from.
     """
     rows = []
     for component in spec.components:
@@ -176,7 +178,7 @@ def bench_space(spec: WorkflowSpec) -> SpaceOverheadReport:
                     original += content_bytes(chunks)
                 else:
                     original += sum(len(chunk) for chunk in chunks)
-        containerized = path.stat().st_size
+            containerized = os.fstat(image.fileno()).st_size
         rows.append(SpaceRow(
             label=component.id,
             original_bytes=original,

@@ -13,7 +13,7 @@ import os
 import stat
 import sys
 import tempfile
-from contextlib import redirect_stdout, suppress
+from contextlib import nullcontext, redirect_stdout, suppress
 from pathlib import Path
 from typing import IO, Any, Callable, Iterator
 
@@ -28,6 +28,7 @@ from .image import (
     PARTTYPE_NAMES,
     BoxImage,
     iso_utc,
+    place_file,
 )
 from .packager import (Recipe, build_app_image, pack_data_dir, pack_empty_output,
                        parse_recipe, utf8_text)
@@ -278,50 +279,32 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:
+    dest = Path(args.dest)
     with BoxImage.open(args.image) as image:
         try:
-            if args.dest != "-" and _dumped_beside(image, args.id, Path(args.dest)):
+            if args.dest != "-" and _regular_or_absent(dest):
+                chunks = image.stream_partition(args.id)
+                with place_file(dest) as (fd, writer):
+                    for chunk in chunks:
+                        writer.write(chunk)
+                os.close(fd)
                 return 0
             payload = image.dump_partition(args.id)  # verified whole before a byte is written
-            if args.dest == "-":
-                sys.stdout.buffer.write(payload)
-                sys.stdout.buffer.flush()
-            else:
-                Path(args.dest).write_bytes(payload)
+            with (nullcontext(sys.stdout.buffer) if args.dest == "-"
+                  else open(dest, "wb")) as out:
+                out.write(payload)
+                out.flush()
         except OSError as exc:
             raise IoError(f"cannot write {args.dest}: {exc}") from exc
     return 0
 
 
-def _dumped_beside(image: BoxImage, partition_id: int, dest: Path) -> bool:
-    """Stream a payload into a temp file beside dest, and rename it over
-    dest once its checksum passes, so a failed dump leaves dest as it was.
-    The file gets an existing dest's permission bits, else a new file's.
-    False, with nothing written, when dest is something other than a
-    regular file, such as a device or a FIFO."""
-    chunks = image.stream_partition(partition_id)
-    target = Path(os.path.realpath(dest))
+def _regular_or_absent(path: Path) -> bool:
+    """Whether what path names is a regular file, or nothing."""
     try:
-        info = os.stat(target)
+        return stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    else:
-        if not stat.S_ISREG(info.st_mode):
-            return False
-        mode = stat.S_IMODE(info.st_mode)
-    fd, temp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
-    try:
-        with open(fd, "wb") as fh:
-            os.fchmod(fd, mode)
-            fh.writelines(chunks)
-        os.replace(temp_name, target)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(temp_name)
-        raise
-    return True
+        return True
 
 
 def _cmd_add(args: argparse.Namespace) -> int:

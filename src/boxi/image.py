@@ -50,16 +50,19 @@ an archive encoded on the fly, which may itself read another payload's
 stream), or a payload kept from the image's current file, which is copied
 through the chunk reader. Each new payload is hashed as it is written; the
 descriptor table follows the payloads, and the header, which points at the
-table, is written last. A create at a path with nothing at it writes the
-file there, and a failure removes it, as there is nothing to lose. Every
-other write (add, delete, update, storing metadata, or a create over a
-file) refuses a target that is not a regular file, writes a temp file
-beside it, fsyncs it and renames it over the target with its permission
-bits, so a crash, or a source that raises partway, leaves the old image or
-the new. Writeback of the temp file starts every WRITEBACK_BYTES (libc's
-sync_file_range where there is one, a hint whose result is not checked),
-so the fsync waits only for the last window. A payload that a change
-replaces or drops is never read.
+table, is written last. A payload that a change replaces or drops is never
+read.
+
+One rule puts a file in place, place_file: an image's commit and a
+payload dumped to a file both write through it. A path with
+nothing at it (for a commit, only a create's) is written in place by an
+exclusive open, and a failure removes it, as there is nothing to lose.
+Anything else must be a regular file: a temp file beside it is written,
+fsynced and renamed over the target with its permission bits, so a crash,
+or a source that raises partway, leaves the old file or the new. Writeback
+of the temp file starts every WRITEBACK_BYTES (libc's sync_file_range where
+there is one, a hint whose result is not checked), so the fsync waits only
+for the last window.
 
 The file a commit wrote becomes its handle's file. The descriptor of the
 file it replaced is closed in a background thread, so that freeing a
@@ -324,6 +327,45 @@ def _closed_on_failure(fd: int, begun: Path | str | None = None) -> Iterator[Non
         raise
 
 
+@contextmanager
+def place_file(path: Path, create: bool = True) -> Iterator[tuple[int, BinaryIO]]:
+    """Put the file the block writes at path, whole or not at all.
+
+    Yields the descriptor of the file that will be at path, open for
+    reading and writing, and a writer on it. When the block returns, the
+    file is in place and the caller owns the descriptor; when it raises,
+    the descriptor is closed and path is left as it was.
+
+    With create set, a path with nothing at it, or a dangling link's
+    destination, is written in place by an exclusive open, and a failure
+    removes it, as there is nothing to lose. Anything else must be a
+    regular file, or OSError "not a regular file" is raised before anything
+    is written: a temp file beside the resolved target, with the target's
+    permission bits, gets a writeback hint every WRITEBACK_BYTES, is
+    fsynced and is renamed over the target, so a crash leaves the old file
+    or the new. Without create, a path with nothing at it fails.
+    """
+    fd = _open_new(path) if create else None
+    target = path if fd is not None else Path(os.path.realpath(path))
+    if fd is None and create:  # a dangling link, whose destination may be free
+        fd = _open_new(target)
+    if fd is not None:
+        with _closed_on_failure(fd, target), open(fd, "wb", closefd=False) as fh:
+            yield fd, fh
+        return
+    mode = os.stat(target).st_mode
+    if not stat.S_ISREG(mode):
+        raise OSError("not a regular file")
+    fd, temp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+    with _closed_on_failure(fd, temp_name):
+        with open(fd, "wb", closefd=False) as fh:
+            os.fchmod(fd, stat.S_IMODE(mode))
+            yield fd, (fh if _sync_file_range is None else _WritingBack(fh, _sync_file_range))
+            fh.flush()
+            os.fsync(fd)
+        os.replace(temp_name, target)
+
+
 # The release in flight, if any; see _release.
 _releasing: threading.Thread | None = None
 _release_lock = threading.Lock()
@@ -397,7 +439,7 @@ class BoxImage:
         payloads = {part.partition_id: new.payload for part, new in zip(descriptors, partitions)}
         now = int(time.time())  # a new image's two times are one
         image = cls(target, uuidlib.uuid4(), now, now, [])
-        image._commit(descriptors, payloads, create=True)
+        image._commit(descriptors, payloads)
         return image
 
     @classmethod
@@ -687,7 +729,7 @@ class BoxImage:
                 f"{self.name}: partition {part.partition_id} fails its checksum")
 
     def _commit(self, partitions: list[PartitionDescriptor],
-                changed: Mapping[int, Source], create: bool = False) -> None:
+                changed: Mapping[int, Source]) -> None:
         """Make partitions the image's whole content, atomically.
 
         changed maps ids to their new sources; a source that is a function
@@ -698,40 +740,23 @@ class BoxImage:
         partway, such as a stream that fails its checksum after its last
         chunk, fails the commit.
 
-        A create writes a path with nothing at it, or a dangling link's
-        destination, in place; anything else is a temp file renamed over the
-        resolved target (see the module docstring). The handle takes the new
-        state, and the file written as the file it reads, only once that
-        file is in place; the file it read before is released in the
-        background.
+        A handle with no file yet is a create, which may write a path with
+        nothing at it; every change is made on an open handle, whose file
+        must still be at the path. place_file puts the file in place. The
+        handle takes the new state, and the file written as the file it
+        reads, only once that file is in place; the file it read before is
+        released in the background.
         """
-        modified_at = self.modified_at if create else max(int(time.time()), self.modified_at)
+        creating = self._fd is None
+        modified_at = self.modified_at if creating else max(int(time.time()), self.modified_at)
         payloads = {pid: source(modified_at) if callable(source) else source
                     for pid, source in changed.items()}
-        failure = f"cannot create image at {self.path}" if create else f"cannot rewrite {self.path}"
         try:
-            fd = _open_new(self.path) if create else None
-            target = self.path if fd is not None else Path(os.path.realpath(self.path))
-            if fd is None and create:  # a dangling link, whose destination may be free
-                fd = _open_new(target)
-            if fd is not None:  # a new file, with nothing to lose: written in place
-                with _closed_on_failure(fd, target), open(fd, "wb", closefd=False) as fh:
-                    placed = self._write(fh, modified_at, partitions, payloads)
-            else:
-                mode = os.stat(target).st_mode
-                if not stat.S_ISREG(mode):
-                    raise IoError(f"{failure}: not a regular file")
-                fd, temp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
-                with _closed_on_failure(fd, temp_name):
-                    with open(fd, "wb", closefd=False) as fh:
-                        os.fchmod(fd, stat.S_IMODE(mode))
-                        writer = fh if _sync_file_range is None else _WritingBack(
-                            fh, _sync_file_range)
-                        placed = self._write(writer, modified_at, partitions, payloads)
-                        fh.flush()
-                        os.fsync(fd)
-                    os.replace(temp_name, target)
+            with place_file(self.path, create=creating) as (fd, writer):
+                placed = self._write(writer, modified_at, partitions, payloads)
         except OSError as exc:
+            failure = (f"cannot create image at {self.path}" if creating
+                       else f"cannot rewrite {self.path}")
             raise IoError(f"{failure}: {exc}") from exc
         self._adopt(fd)
         self._partitions = placed

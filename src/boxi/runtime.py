@@ -28,7 +28,8 @@ plans of the same steps with no application: the zero-copy one splices, so
 its run directory stays empty, and the two-copy one stages through
 directories. The run directory is created
 under the BOXI_SANDBOX environment variable's directory, or under the
-system temp directory when it is unset, and is always removed at the end.
+system temp directory when it is unset, and is always removed at the end,
+even with a directory in it that lacks its write bit (_open_up).
 An application's stderr goes to an unnamed file there, and only its tail
 is read back.
 
@@ -58,6 +59,7 @@ import subprocess
 import tempfile
 import time
 import uuid as uuidlib
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -608,15 +610,15 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
         )
         for step in repacks:
             image = plan.images[step.image]
-            # the old payload is verified and dropped chunk by chunk
-            kept = archive.graft(image.stream_partition(step.partition_id), step.inner, [])
             if step.src in spliced:
                 source, pid = spliced[step.src]
                 with source.raw_payload(pid) as (fd, offset, size):
                     tree = archive.splice(fd, offset, size, source.stream_partition(pid))
             else:
                 tree = archive.scan_dir(run_dir / step.src)
-            pieces = archive.encode_pieces(archive.graft(kept, step.inner, tree))
+            # the old payload is verified as it streams; only the kept entries are held
+            pieces = archive.encode_pieces(archive.graft(
+                image.stream_partition(step.partition_id), step.inner, tree))
             if spec is None:
                 image.update_partition(step.partition_id, pieces)
             else:
@@ -628,6 +630,22 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
         for image in plan.images.values():
             image.close()
         shutil.rmtree(run_dir, ignore_errors=True)
+        if run_dir.exists():  # a directory without write permission kept its entries
+            _open_up(run_dir)
+            shutil.rmtree(run_dir, ignore_errors=True)
+
+
+def _open_up(root: Path) -> None:
+    """Give root and every directory below it mode 0o700, so that it can be
+    removed; a symlink is never followed, wherever it points."""
+    stack = [str(root)]
+    while stack:
+        path = stack.pop()
+        with suppress(OSError):
+            os.chmod(path, 0o700)
+            with os.scandir(path) as entries:
+                stack.extend(entry.path for entry in entries
+                             if entry.is_dir(follow_symlinks=False))
 
 
 def run_workflow(spec: WorkflowSpec, mode: str = ZERO_COPY,

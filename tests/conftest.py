@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import boxi
 from boxi import standins
 from boxi.image import BoxImage
 from boxi.packager import Recipe, build_app_image, pack_data_dir, pack_empty_output
@@ -36,6 +41,35 @@ FILE_CHANGES = {
     "is-replaced": _replace,
     "turns-into-a-symlink": _symlink,
 }
+
+
+# setpriv's option that drops, from a child's bounding set, the capabilities
+# that let root act on a file whatever its mode or owner says; a non-root
+# user has none of them.
+_DROP_FILE_OVERRIDES = "--bounding-set=-dac_override,-dac_read_search,-fowner"
+
+
+@functools.cache
+def _setpriv_drops_file_overrides() -> bool:
+    return shutil.which("setpriv") is not None and subprocess.run(
+        ["setpriv", _DROP_FILE_OVERRIDES, "true"], capture_output=True).returncode == 0
+
+
+def run_without_file_overrides(snippet: str, *args: str,
+                               env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """Run a Python snippet, with args as its sys.argv[1:], in a child
+    process without CAP_DAC_OVERRIDE, CAP_DAC_READ_SEARCH or CAP_FOWNER, as
+    a non-root user runs: under root, through setpriv, which drops them from
+    the child's bounding set; otherwise directly. Only the child is
+    affected. Skips the test when root cannot drop them."""
+    command = [sys.executable, "-c", snippet, *args]
+    if os.geteuid() == 0:
+        if not _setpriv_drops_file_overrides():
+            pytest.skip("setpriv cannot drop the file-override capabilities")
+        command = ["setpriv", _DROP_FILE_OVERRIDES, *command]
+    src = str(Path(boxi.__file__).parents[1])
+    return subprocess.run(command, capture_output=True, text=True, timeout=300,
+                          env={**os.environ, **(env or {}), "PYTHONPATH": src})
 
 
 def open_images(spec: WorkflowSpec) -> dict[str, BoxImage]:

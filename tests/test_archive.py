@@ -466,8 +466,6 @@ def test_graft_keeps_the_outside_and_re_roots_the_subtree(tree, inner, subtree):
     sub = _tree_entries(subtree)
     grafted = graft(blob, inner, sub)
     encode_entries(grafted)  # a well-formed tree: no duplicates, nothing malformed
-    # grafting onto the entries kept from the blob gives the same tree
-    assert set(graft(graft(blob, inner, []), inner, sub)) == set(grafted)
 
     prefix = f"{inner}/" if inner else ""
     parts = inner.split("/") if inner else []
@@ -546,8 +544,9 @@ def test_a_splice_encodes_as_the_decoded_tree(tree, inner, size):
         spliced = splice(*extent, chunked(blob, size))
     assert [(e.path, e.mode, len(e.content or b"")) for e in spliced] == [
         (e.path, e.mode, len(e.content or b"")) for e in decode(blob)]
-    assert (encode_entries(graft([], inner, spliced))
-            == encode_entries(graft([], inner, decode(blob))))
+    empty = encode_entries([])
+    assert (encode_entries(graft(empty, inner, spliced))
+            == encode_entries(graft(empty, inner, decode(blob))))
 
 
 def test_a_splice_fails_when_its_stream_differs_from_its_headers():

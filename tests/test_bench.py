@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -87,6 +88,24 @@ def test_space_report_covers_every_partition(workbench):
     assert row.original_bytes == 3 + big + 10 * (big // 10)
     assert row.delta_bytes == expected_image_delta([["a.txt", "big.bin"], None])
     assert peak < 2 * CHUNK_BYTES  # every payload is streamed, none held whole
+
+
+def test_space_report_sizes_the_file_it_read(workbench, monkeypatch):
+    from boxi.image import BoxImage
+    spec = workbench.identity_spec(files={"a.txt": b"12345"})
+    other = pack_empty_output("Outputs", "other", workbench.root / "other.boxi")
+    other.close()
+    real_open = BoxImage.open
+
+    def open_then_replace(path):
+        handle = real_open(path)
+        if Path(path).name == "input.boxi":
+            os.replace(other.path, path)
+        return handle
+
+    monkeypatch.setattr(BoxImage, "open", open_then_replace)
+    row = next(r for r in bench_space(spec).rows if r.label == "in")
+    assert (row.original_bytes, row.delta_bytes) == (5, expected_image_delta([["a.txt"]]))
 
 
 def test_space_report_requires_existing_images(workbench):

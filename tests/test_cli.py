@@ -10,6 +10,7 @@ import stat
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import uuid as uuidlib
@@ -785,6 +786,43 @@ def test_a_dump_to_a_file_keeps_what_the_file_it_replaces_had(tmp_path, capsys):
     assert main(["dump", str(image), "1", os.devnull]) == 0  # not a file: written in place
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "data.boxi", "fresh.bin", "kept.bin", "link.bin"]
+
+
+def test_a_dump_over_a_file_is_fsynced_before_it_is_renamed(tmp_path, capsys, monkeypatch):
+    image = _image_holding(tmp_path, b"payload")
+    dest = tmp_path / "payload.bin"
+    dest.write_bytes(b"old")
+    calls = []
+
+    def fsync(fd, _call=os.fsync):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        _call(fd)
+
+    def replace(src, dst, _call=os.replace):
+        calls.append(("replace", os.stat(src).st_ino))
+        _call(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(["dump", str(image), "1", str(dest)]) == 0, capsys.readouterr().err
+    monkeypatch.undo()
+    (fsync, synced), (replace, renamed) = calls
+    assert (fsync, replace) == ("fsync", "replace") and synced == renamed
+    assert dest.stat().st_ino == renamed and dest.read_bytes() == b"payload"
+
+
+def test_a_dump_to_a_new_file_writes_it_in_place(tmp_path, capsys, monkeypatch):
+    image = _image_holding(tmp_path, b"payload")
+    called = []
+    for owner, name in [(os, "umask"), (os, "replace"), (tempfile, "mkstemp")]:
+        def recorded(*args, _call=getattr(owner, name), _name=name, **kwargs):
+            called.append(_name)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(owner, name, recorded)
+    assert main(["dump", str(image), "1", str(tmp_path / "fresh.bin")]) == 0
+    monkeypatch.undo()
+    assert called == []
+    assert (tmp_path / "fresh.bin").read_bytes() == b"payload"
 
 
 def test_inspect_reports_the_size_of_the_file_it_read(tmp_path, capsys, monkeypatch):

@@ -34,7 +34,7 @@ from boxi.errors import (
     WrongPartitionType,
 )
 from boxi.image import BoxImage
-from boxi.packager import Recipe, build_app_image
+from boxi.packager import Recipe, build_app_image, pack_data_dir
 from boxi.runtime import (
     SANDBOX_ENV,
     TWO_COPY,
@@ -47,7 +47,7 @@ from boxi.runtime import (
     zero_copy_transfer,
 )
 
-from .conftest import FILE_CHANGES, Workbench
+from .conftest import FILE_CHANGES, Workbench, run_without_file_overrides
 from .oracles import flip_bit, walk_tree
 
 
@@ -820,10 +820,11 @@ def test_no_invocations_means_no_copies(workbench):
     assert report.outputs_written == []
 
 
-def keep_run_dirs(monkeypatch) -> list[Path]:
-    """Stop the run directory's removal; return the directories left in place."""
-    kept: list[Path] = []
-    monkeypatch.setattr(shutil, "rmtree", lambda path, **_: kept.append(Path(path)))
+def keep_run_dirs(monkeypatch) -> dict[Path, None]:
+    """Stop the run directory's removal; return the directories left in
+    place, each once however often its removal is tried."""
+    kept: dict[Path, None] = {}
+    monkeypatch.setattr(shutil, "rmtree", lambda path, **_: kept.setdefault(Path(path)))
     return kept
 
 
@@ -834,6 +835,61 @@ def test_sandbox_is_removed_by_default(workbench, tmp_path, monkeypatch):
     monkeypatch.setenv(SANDBOX_ENV, str(sandbox_root))
     run_workflow(spec, ZERO_COPY)
     assert list(sandbox_root.iterdir()) == []
+
+
+_BOXI = "import sys\nfrom boxi.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
+def test_a_read_only_directory_leaves_no_run_directory_behind(workbench, tmp_path, mode):
+    # Without the file-override capabilities, as any non-root user runs, no
+    # entry can be removed from a directory that lacks its write bit.
+    workbench.identity_spec(files={"ro/x.txt": b"read only\n"})
+    tree = workbench.root / "tree-input" / "Inputs"
+    (tree / "ro").chmod(0o555)
+    pack_data_dir(tree, "input", workbench.root / "input.boxi").close()
+    workflow = workbench.root / "identity.json"
+    workflow.write_text(json.dumps({
+        "label": "identity",
+        "components": [
+            {"id": "in", "role": "input", "image": "input.boxi"},
+            {"id": "app", "role": "application", "image": "app.boxi"},
+            {"id": "out", "role": "output", "image": "output.boxi"},
+        ],
+        "bindings": [
+            {"source": "in:/", "target": "app:/Inputs"},
+            {"source": "out:/Outputs", "target": "app:/Outputs"},
+        ],
+        "invocations": [{"app": "app", "argv": ["Inputs", "Outputs/data"]}],
+    }))
+    output = workbench.root / "output.boxi"
+    empty = output.read_bytes()
+    run_workflow(load_workflow(workflow), mode)
+    with BoxImage.open(output) as image:
+        expected = image.dump_partition(1)
+    output.write_bytes(empty)
+    sandbox = tmp_path / "sandbox"
+    sandbox.mkdir()
+    proc = run_without_file_overrides(_BOXI, "run", str(workflow), "--mode", mode,
+                                      "--no-trail", env={SANDBOX_ENV: str(sandbox)})
+    assert proc.returncode == 0, proc.stderr
+    assert list(sandbox.iterdir()) == []
+    with BoxImage.open(output) as image:
+        assert image.dump_partition(1) == expected
+    assert b"Outputs/data/ro/x.txt" in expected
+
+
+def test_opening_up_a_run_directory_follows_no_link(tmp_path):
+    run_dir, outside = tmp_path / "run", tmp_path / "outside"
+    (run_dir / "ro" / "deep").mkdir(parents=True)
+    outside.mkdir()
+    (run_dir / "ro" / "planted").symlink_to(outside, target_is_directory=True)
+    for path in (outside, run_dir / "ro" / "deep", run_dir / "ro", run_dir):
+        path.chmod(0o500)
+    runtime._open_up(run_dir)
+    assert [stat.S_IMODE(path.stat().st_mode)
+            for path in (run_dir, run_dir / "ro", run_dir / "ro" / "deep", outside)] == [
+        0o700, 0o700, 0o700, 0o500]
 
 
 def test_keep_sandbox_preserves_the_run_dir(workbench, tmp_path, monkeypatch):
