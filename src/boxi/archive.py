@@ -25,23 +25,25 @@ The root directory itself is not an entry; only its contents are.
 encode_pieces checks and sorts the entries, then yields the blob in pieces,
 each file's content as it is, so an image writer can stream a tree into a
 file without joining it first; encode_entries joins the pieces. A file's
-content is bytes, a view into a verified blob, or a LazyContent: a size,
-and pieces read only when encode_pieces yields them. scan_dir records each
-file by its lstat and reads it then; splice streams a source blob's
-contents from its verified chunks.
+content is bytes or a LazyContent: a size, and pieces read only when
+encode_pieces yields them. scan_dir records each file by its lstat and
+reads it then; splice streams a source blob's contents from its verified
+chunks.
 
 One validating walk checks every rule above, entry by entry, over three
-byte sources: a whole blob, whose contents stay views into it;
-consecutive chunks, each valid only until the next is read, such as a
-partition read through its checksum; and a header-only pass over a file,
-read by position, which passes contents over unread (splice). decode,
-graft, content_bytes and extract_dir take a blob whole or as chunks, and
-splice's contents are chunks. Over chunks, a broken rule is raised only after they are read to
-their end, so a checksum failure comes first. extract_dir writes each file
-as the walk reaches it, and removes what it wrote if the walk then fails.
+byte sources: a whole blob; consecutive chunks, each valid only until the
+next is read, such as a partition read through its checksum; and a
+header-only pass over a file, read by position, which passes contents over
+unread (splice). decode, graft, content_bytes and extract_dir take a blob
+whole or as chunks; decode and graft copy each content they keep into
+bytes, and splice's contents are chunks. Over chunks, a broken rule is
+raised only after they are read to their end, so a checksum failure comes
+first. extract_dir writes each file as the walk reaches it, and removes
+what it wrote if the walk then fails.
 
 graft is the one tree edit: a repack grafts a new tree under one inner
-path and keeps the rest. with_parents is the one rule for implied directories.
+path and keeps the rest. A directory a path implies but no entry holds is
+0o755: with_parents adds it as an entry, and extract_dir creates it.
 """
 
 from __future__ import annotations
@@ -93,14 +95,13 @@ class LazyContent:
 class ArchiveEntry:
     """One file or directory inside an archived tree.
 
-    content is None exactly when the entry is a directory. It may be a view
-    into a blob that has already been verified, which is kept as it is, not
-    copied, until it is encoded or written, or a LazyContent.
+    content is None exactly when the entry is a directory; a file's is
+    bytes, or a LazyContent read only when it is encoded.
     """
 
     path: str
     mode: int
-    content: bytes | memoryview | LazyContent | None
+    content: bytes | LazyContent | None
 
     @property
     def is_dir(self) -> bool:

@@ -10,28 +10,24 @@ emit around it:
 
   zero-copy   materialize each readable partition once into a shared
               directory and link every view to it; repack each spot.
-              A materialize that no link reads is spliced, not unpacked:
-              its repack reads the source's headers ahead and streams its
-              verified entries straight into the destination's commit.
 
   two-copy    stage the readable partition and copy-in its bound subtree;
               copy-out each spot to staging after the exec, then repack.
 
-A copy event is one materialize, stage, copy-in, copy-out or repack step:
-2 per input-to-output path in zero-copy, 4 in two-copy. A repack grafts the
-tree it packs under the bound inner path of its partition and keeps the
-rest (archive.graft), so both modes produce identical output bytes. An
-application that writes into a readable mount fails the run with
-SandboxError in both modes, before anything is repacked: in
-zero-copy the next view would see the change. The direct transfers are
-plans of the same steps with no application: the zero-copy one splices, so
+A copy event is one materialize, splice, stage, copy-in, copy-out or repack
+step: 2 per input-to-output path in zero-copy, 4 in two-copy. A repack
+grafts the tree it packs under the bound inner path of its partition and
+keeps the rest (archive.graft), so both modes produce identical output
+bytes. An application that writes into a readable mount fails the run with
+SandboxError in both modes, before anything is repacked: in zero-copy the
+next view would see the change. The direct transfers are plans of the same
+steps with no application: the zero-copy one is a splice and a repack, so
 its run directory stays empty, and the two-copy one stages through
-directories. The run directory is created
-under the BOXI_SANDBOX environment variable's directory, or under the
-system temp directory when it is unset, and is always removed at the end,
-even with a directory in it that lacks its write bit (_open_up).
-An application's stderr goes to an unnamed file there, and only its tail
-is read back.
+directories. The run directory is created under the BOXI_SANDBOX
+environment variable's directory, or under the system temp directory when
+it is unset, and is always removed at the end, even with a directory in it
+that lacks its write bit (_open_up). An application's stderr goes to an
+unnamed file there, and only its tail is read back.
 
 No payload or tree is held whole. Every view, materialize and stage
 writes its tree as the partition streams through its checksum; if the
@@ -292,6 +288,7 @@ def _check_acyclic(spec: WorkflowSpec) -> None:
 
 VIEW = "view"
 MATERIALIZE = "materialize"
+SPLICE = "splice"
 STAGE = "stage"
 SPOT = "spot"
 LINK = "link"
@@ -299,7 +296,7 @@ COPY_IN = "copy-in"
 EXEC = "exec"
 COPY_OUT = "copy-out"
 REPACK = "repack"
-COPY_STEPS = (MATERIALIZE, STAGE, COPY_IN, COPY_OUT, REPACK)
+COPY_STEPS = (MATERIALIZE, SPLICE, STAGE, COPY_IN, COPY_OUT, REPACK)
 
 
 @dataclass(frozen=True)
@@ -307,10 +304,11 @@ class Step:
     """One instruction of a plan; src and dst are relative to the run directory.
 
       view         unpack partition_id, the primary one, of image into dst
-      materialize  unpack partition_id of image into the shared directory dst;
-                   if no link or copy-in reads dst, nothing is unpacked: its
-                   repack reads the partition's headers, then streams its
-                   verified entries into the commit
+      materialize  unpack partition_id of image into the shared directory dst,
+                   which a link reads
+      splice       read the headers of partition_id of image and keep its
+                   entries under dst, unpacked nowhere: the repack whose src
+                   is dst streams their verified contents into its commit
       stage        unpack partition_id of image into the staging directory dst
       spot         create the empty writable directory dst
       link         point the symlink dst at the directory inner under src
@@ -346,7 +344,7 @@ class MountPlan:
 
     @property
     def copy_events(self) -> int:
-        """Whole-payload copies: materialize, stage, copy-in, copy-out, repack."""
+        """Whole-payload copies: materialize, splice, stage, copy-in, copy-out, repack."""
         return sum(step.op in COPY_STEPS for step in self.steps)
 
 
@@ -539,34 +537,35 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
     The steps read and write only the plan's images, which are closed at
     the end. A view, materialize or stage step extracts its partition's
     stream, so a bad partition fails that step, leaving no tree, before any
-    later exec. A materialize step whose directory no link or copy-in reads
-    is not unpacked; the repack that reads it splices the partition: a
-    header pass, then its verified stream inside the commit. Repack steps run
-    last, each output's through one graft of its old payload's stream and
-    one commit, which also stores the output's trail for spec when one is
-    given; each output's trail partition id is checked before anything
-    runs. The link and copy-in mounts of a view are snapshot before and
-    after its exec; a difference raises SandboxError. Otherwise the report
-    is returned even when applications exit nonzero; only infrastructure
-    failures raise.
+    later exec. A splice step reads its partition's headers and keeps the
+    entries under its dst; the repack whose src is that dst packs them,
+    reading the partition's verified stream inside the commit, and any other
+    repack scans its directory. Repack steps run last, each output's through
+    one graft of its old payload's stream and one commit, which also stores
+    the output's trail for spec when one is given; each output's trail
+    partition id is checked before anything runs. The link and copy-in
+    mounts of a view are snapshot before and after its exec; a difference
+    raises SandboxError. Otherwise the report is returned even when
+    applications exit nonzero; only infrastructure failures raise.
     """
     repacks = [step for step in plan.steps if step.op == REPACK]
     if spec is not None:
         for step in repacks:
             plan.images[step.image].metadata_partition_id()
-    mounted = {step.src for step in plan.steps if step.op in (LINK, COPY_IN)}
-    spliced = {step.dst: (plan.images[step.image], step.partition_id) for step in plan.steps
-               if step.op == MATERIALIZE and step.dst not in mounted}
     run_dir = _make_run_dir()
     records: list[InvocationRecord] = []
+    spliced: dict[str, list[archive.ArchiveEntry]] = {}  # splice dst -> its entries
     try:
         for step in plan.steps:
-            if step.dst in spliced:
-                continue
             source, dst = run_dir / step.src / step.inner, run_dir / step.dst
             if step.op in (VIEW, MATERIALIZE, STAGE):
                 archive.extract_dir(
                     plan.images[step.image].stream_partition(step.partition_id), dst)
+            elif step.op == SPLICE:
+                image = plan.images[step.image]
+                with image.raw_payload(step.partition_id) as (fd, offset, size):
+                    spliced[step.dst] = archive.splice(
+                        fd, offset, size, image.stream_partition(step.partition_id))
             elif step.op == EXEC:
                 readable = [run_dir / mount.dst for mount in plan.steps
                             if mount.op in (LINK, COPY_IN)
@@ -592,7 +591,7 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
                     elif step.op == LINK:
                         os.symlink(source, dst, target_is_directory=True)
                     else:
-                        shutil.copytree(source, dst, symlinks=False, dirs_exist_ok=True)
+                        shutil.copytree(source, dst, symlinks=False)
                 except OSError as exc:
                     raise SandboxError(f"{step.op} {step.dst}: {exc}") from exc
 
@@ -610,12 +609,8 @@ def _run_plan(plan: MountPlan, spec: WorkflowSpec | None = None) -> ExecutionRep
         )
         for step in repacks:
             image = plan.images[step.image]
-            if step.src in spliced:
-                source, pid = spliced[step.src]
-                with source.raw_payload(pid) as (fd, offset, size):
-                    tree = archive.splice(fd, offset, size, source.stream_partition(pid))
-            else:
-                tree = archive.scan_dir(run_dir / step.src)
+            tree = (spliced[step.src] if step.src in spliced
+                    else archive.scan_dir(run_dir / step.src))
             # the old payload is verified as it streams; only the kept entries are held
             pieces = archive.encode_pieces(archive.graft(
                 image.stream_partition(step.partition_id), step.inner, tree))
@@ -678,7 +673,7 @@ def _plan_transfer(mode: str, src_image: Path | str, src_partition: int,
     dst = BoxImage.open(dst_image)
     dst_pid = _backing_partition(dst, ROLE_OUTPUT)
     if mode == ZERO_COPY:
-        moves = (Step(MATERIALIZE, src.name, str(src.path), src_partition, dst="shared"),)
+        moves = (Step(SPLICE, src.name, str(src.path), src_partition, dst="spliced"),)
     else:
         moves = (Step(STAGE, src.name, str(src.path), src_partition, dst="staging/0"),
                  Step(COPY_IN, src.name, src="staging/0", dst="view"),
@@ -693,15 +688,14 @@ def zero_copy_transfer(src_image: Path | str, src_partition: int,
                        dst_image: Path | str, dst_inner_path: str) -> ExecutionReport:
     """Move a data partition's tree under dst_inner_path of the destination.
 
-    The materialize and the repack are spliced, so no tree is extracted
-    or rescanned and no payload is held whole. The destination's old
-    payload is streamed through its checksum first, keeping only what lies
-    outside dst_inner_path. A header pass over the source then learns the
-    grafted tree, and the source's verified stream is read into the
-    destination's commit, every header checked against that pass. A
-    checksum or structure error found partway fails the commit, and the
-    destination keeps its bytes. Two copy events, no staging, an empty run
-    directory.
+    A splice step and a repack: no tree is extracted or rescanned and no
+    payload is held whole. The splice's header pass over the source learns
+    the tree to graft. The repack streams the destination's old payload
+    through its checksum, keeping only what lies outside dst_inner_path,
+    then reads the source's verified stream into the destination's commit,
+    every header checked against that pass. A checksum or structure error
+    found partway fails the commit, and the destination keeps its bytes.
+    Two copy events, no staging, an empty run directory.
     """
     return _run_plan(_plan_transfer(ZERO_COPY, src_image, src_partition,
                                     dst_image, dst_inner_path))

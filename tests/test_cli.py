@@ -41,7 +41,7 @@ from boxi.provenance import canonical_json, read_trail
 from boxi.runtime import load_workflow, run_workflow
 
 from .conftest import FILE_CHANGES, _grow
-from .oracles import mask_trail, read_descriptors, read_header
+from .oracles import HEADER_STRUCT, mask_trail, read_descriptors, read_header
 from .test_image import _raise_oserror, _WriteFaults
 
 PACK = "pack"
@@ -284,6 +284,22 @@ def _hand_made_app(workbench, manifest: SoftwareManifest) -> None:
     BoxImage.create("app", workbench.root / "app.boxi", [NewPartition(
         tree, datatype=DATA_PARTITION, fstype=FS_ARCHIVE_RO,
         parttype=PART_SYSTEM_PRIMARY, arch=ARCH_X86_64, name="system")])
+
+
+def test_run_of_an_app_without_a_manifest_exits_2(workbench, capsys):
+    flow = identity_workflow(workbench)
+    tree = encode_entries([
+        ArchiveEntry("run.py", stat.S_IFREG | 0o755, standins.IDENTITY.encode())])
+    (workbench.root / "app.boxi").unlink()
+    BoxImage.create("app", workbench.root / "app.boxi", [NewPartition(
+        tree, datatype=DATA_PARTITION, fstype=FS_ARCHIVE_RO,
+        parttype=PART_SYSTEM_PRIMARY, arch=ARCH_X86_64, name="system")]).close()
+    output = (workbench.root / "output.boxi").read_bytes()
+    with pytest.raises(errors.NoRunscript):
+        run_workflow(load_workflow(flow))
+    assert main(["run", flow]) == 2
+    assert "application 'app' ships no .manifest" in capsys.readouterr().err
+    assert (workbench.root / "output.boxi").read_bytes() == output
 
 
 HOST_TOOL = '#!/bin/sh\ntouch "$(dirname "$0")/host_tool_ran"\n'
@@ -569,6 +585,20 @@ def test_inspect_corrupt_file_exits_4(tmp_path, capsys):
     bogus.write_bytes(b"not an image at all")
     assert main(["inspect", str(bogus)]) == 4
     assert "boxi:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("payload_offset", 61), ("table_offset", 59)])
+def test_inspect_of_implausible_area_offsets_exits_4(tmp_path, capsys, field, value):
+    image = _image_holding(tmp_path, b"payload")
+    header = read_header(image)
+    header[field] = value
+    data = bytearray(image.read_bytes())
+    HEADER_STRUCT.pack_into(data, 0, *(header[key] for key in (
+        "magic", "version", "uuid_bytes", "created", "modified", "count",
+        "table_offset", "payload_offset")))
+    image.write_bytes(bytes(data))
+    assert main(["inspect", str(image)]) == 4
+    assert "implausible area offsets" in capsys.readouterr().err
 
 
 _ENDLESS_INSPECT = """

@@ -39,6 +39,7 @@ from boxi.runtime import (
     SANDBOX_ENV,
     TWO_COPY,
     ZERO_COPY,
+    WorkflowSpec,
     load_workflow,
     plan_mounts,
     run_workflow,
@@ -135,6 +136,12 @@ def test_structurally_bad_documents_are_rejected(mutate):
     mutate(doc)
     with pytest.raises(InvalidWorkflowSpec):
         workflow_from_mapping(doc)
+
+
+def test_a_spec_built_with_an_empty_label_is_refused_by_the_planner():
+    # a document cannot carry one: _expect_str refuses the label first
+    with pytest.raises(InvalidWorkflowSpec, match="workflow label is empty"):
+        plan_mounts(WorkflowSpec("", [], [], []))
 
 
 def test_workflow_must_be_an_object():
@@ -334,6 +341,47 @@ def test_two_copy_plan_stages_every_mount(workbench):
     # 4 mounts, 2 staged copies each
     assert sum(op in ("stage", "copy-in", "copy-out", "repack") for op in ops) == 8
     assert plan.copy_events == run_workflow(spec, TWO_COPY).copy_events == 8
+
+
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
+def test_a_mount_plan_splices_nothing_and_links_every_materialize(workbench, mode):
+    plan = plan_mounts(fan_out_spec(workbench), mode)
+    for image in plan.images.values():
+        image.close()
+    assert "splice" not in [step.op for step in plan.steps]
+    materialized = {step.dst for step in plan.steps if step.op == "materialize"}
+    assert bool(materialized) == (mode == ZERO_COPY)
+    assert materialized <= {step.src for step in plan.steps if step.op == "link"}
+
+
+@pytest.mark.parametrize("mode, ops", [
+    (ZERO_COPY, ["splice", "repack"]),
+    (TWO_COPY, ["stage", "copy-in", "copy-out", "repack"]),
+])
+def test_a_transfer_plan_names_each_step_it_runs(workbench, mode, ops):
+    src, dst = transfer_fixture(workbench)
+    plan = runtime._plan_transfer(mode, src, 1, dst, "/Inputs")
+    for image in plan.images.values():
+        image.close()
+    assert [step.op for step in plan.steps] == ops
+    assert plan.steps[-1].src == plan.steps[-2].dst
+    assert plan.copy_events == len(ops)
+
+
+def test_the_executor_runs_a_materialize_that_no_link_reads(workbench, monkeypatch):
+    src = workbench.input_image({"a.txt": b"alpha"})
+    extracted = []
+
+    def recorded_extract(blob, dest, _extract=archive.extract_dir):
+        extracted.append(Path(dest).parts[-2:])
+        _extract(blob, dest)
+
+    monkeypatch.setattr(archive, "extract_dir", recorded_extract)
+    image = BoxImage.open(src)
+    plan = runtime.MountPlan("unread", ZERO_COPY, (
+        runtime.Step("materialize", "in", str(src), 1, dst="shared/0"),), (), {str(src): image})
+    assert runtime._run_plan(plan).copy_events == 1
+    assert extracted == [("shared", "0")]
 
 
 def test_plan_rejects_unknown_mode(workbench):
@@ -563,6 +611,27 @@ def test_writing_a_readable_mount_is_a_sandbox_error(workbench, mode, capsys):
     )))
     images = {path: path.read_bytes() for path in workbench.root.glob("*.boxi")}
     with pytest.raises(SandboxError, match="'app1' wrote into its readable mount /Inputs"):
+        run_workflow(load_workflow(flow), mode)
+    assert main(["run", "--mode", mode, str(flow)]) == 3
+    assert "wrote into its readable mount /Inputs" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in images} == images
+
+
+MOVER = """#!/usr/bin/env python3
+import os
+os.rename("Inputs", "Moved")
+"""
+
+
+@pytest.mark.parametrize("mode", [ZERO_COPY, TWO_COPY])
+def test_moving_a_readable_mount_away_is_a_sandbox_error(workbench, mode, capsys):
+    workbench.input_image({"a.txt": b"original"})
+    workbench.app_image(MOVER)
+    workbench.output_image()
+    flow = workbench.root / "workflow.json"
+    flow.write_text(json.dumps(_doc(invocations=[{"app": "app", "argv": []}])))
+    images = {path: path.read_bytes() for path in workbench.root.glob("*.boxi")}
+    with pytest.raises(SandboxError, match="'app' wrote into its readable mount /Inputs"):
         run_workflow(load_workflow(flow), mode)
     assert main(["run", "--mode", mode, str(flow)]) == 3
     assert "wrote into its readable mount /Inputs" in capsys.readouterr().err
